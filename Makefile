@@ -1,8 +1,9 @@
 # Convenience targets; tier-1 verification is `dune build && dune runtest`.
 
-.PHONY: all build test bench perf route-bench lint analyze diff \
+.PHONY: all build test bench lint analyze diff \
 	diff-bench serve serve-bench whatif whatif-bench inc inc-bench \
-	check telemetry-bench semantic-bench chaos smoke clean
+	check telemetry-bench semantic-bench chaos perfbench-selftest smoke \
+	clean
 
 all: build
 
@@ -14,16 +15,6 @@ test:
 
 bench:
 	dune exec bench/main.exe
-
-# Full perf harness: writes the per-PR JSON (see DESIGN.md §2.1).
-perf:
-	dune exec bench/main.exe -- --perf --out BENCH_PR6.json
-
-# Quick route-phase gate: sequential-vs-parallel identity (multiset vs
-# the sequential reference, byte-identity across domain counts) on the
-# packed-key arena pipeline (DESIGN.md §2.6).
-route-bench:
-	dune exec bench/main.exe -- --route-bench --quick
 
 # Static analysis: build with the strict warning set, then run the
 # `hoyan lint` pass over a generated WAN corpus (exits non-zero on any
@@ -138,12 +129,16 @@ chaos:
 	dune exec test/test_main.exe -- test dist
 	dune exec bench/main.exe -- --chaos --quick --out /tmp/BENCH_PR5_quick.json
 
-# Tier-1 smoke: build, tests, and a quick perf-harness pass so the
-# multicore pipeline and its identity assertions are exercised in CI.
+# Benchmark self-test: the perfbench harness's own checks (verdict
+# oracle, metric plumbing) on tiny inputs, so a library change that
+# breaks the benchmark fails here rather than in a benchmark run.
+perfbench-selftest:
+	bash perfbench/run.sh --selftest
+
+# Tier-1 smoke: build and tests.
 smoke:
 	dune build
 	dune runtest
-	dune exec bench/main.exe -- --perf --quick
 
 clean:
 	dune clean

@@ -115,7 +115,7 @@ let plan_of (g : G.t) i : Cp.t =
 let full_run (g : G.t) (plan : Cp.t) : Route.t list =
   let patched, _ = Model.apply_change_plan g.G.model plan in
   (Route_sim.run patched
-     ~input_routes:(Differential.patched_routes plan g.G.input_routes)
+     ~input_routes:(Cp.patched_routes plan g.G.input_routes)
      ())
     .Route_sim.rib
   |> List.sort_uniq Route.compare

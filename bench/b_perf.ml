@@ -1,29 +1,7 @@
-(* The machine-readable perf harness (`--perf`).
-
-   Runs the figure5a/5b-style workloads end to end through the *real*
-   multicore pipeline (OCaml 5 domains, {!Hoyan_dist.Parallel}) at 1, 2
-   and N domains, asserts that the parallel results are identical to the
-   sequential ones, and writes BENCH_PR1.json so future PRs have a
-   machine-readable perf trajectory to compare against: wall times,
-   speedups, peak RSS and the EC compression ratios.
-
-   The domain-count curve only shows wall-clock speedup when the machine
-   actually has cores to run the domains on; the JSON records
-   [cores_available] so a trajectory comparison across machines stays
-   honest.  The hot-path section (batched trie FIB build, the
-   precomputed union-trie EC keying vs the O(devices) reference) is
-   hardware independent. *)
-
-open B_common
-open Hoyan_net
-module G = Hoyan_workload.Generator
-module Route_sim = Hoyan_sim.Route_sim
-module Traffic_sim = Hoyan_sim.Traffic_sim
-module Parallel = Hoyan_dist.Parallel
-
-(* Overridable via `--perf --out FILE` so the perf trajectory accumulates
-   one JSON per PR instead of overwriting a hardcoded name. *)
-let output_file = ref "BENCH_PR6.json"
+(* Shared helpers for the sections that write a machine-readable BENCH
+   file (--telemetry, --semantic, --chaos, --diff-bench, --serve-bench,
+   --whatif-bench, --inc-bench): a minimal JSON writer and the peak
+   resident set size. *)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON emission (no external dependency)                      *)
@@ -110,311 +88,3 @@ let peak_rss_kb () =
       let r = go () in
       close_in ic;
       r
-
-let sorted_loads tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-
-(** Bit-for-bit equality of two traffic results (flow results in shard
-    order, link loads as sorted association lists). *)
-let traffic_identical (a : Traffic_sim.result) (b : Traffic_sim.result) =
-  a.Traffic_sim.flow_results = b.Traffic_sim.flow_results
-  && sorted_loads a.Traffic_sim.link_load = sorted_loads b.Traffic_sim.link_load
-
-(** Tolerant comparison against the sequential single-table run, whose
-    float accumulation order differs (same walks, different summation
-    order). *)
-let loads_close (a : Traffic_sim.result) (b : Traffic_sim.result) =
-  let la = sorted_loads a.Traffic_sim.link_load
-  and lb = sorted_loads b.Traffic_sim.link_load in
-  List.length la = List.length lb
-  && List.for_all2
-       (fun (ka, va) (kb, vb) ->
-         ka = kb
-         && Float.abs (va -. vb) <= 1e-6 *. Float.max 1.0 (Float.abs va))
-       la lb
-
-(* Honest domain-count selection: the curve is driven by the cores the
-   machine actually has.  Counts beyond the core count are still run
-   (they exercise the scheduler and the identity check) but their rows
-   carry ["undersubscribed": true] and they are excluded from the
-   headline speedup. *)
-let cores () = Domain.recommended_domain_count ()
-
-let domain_counts () =
-  List.sort_uniq compare [ 1; 2; 4; max 1 (cores ()) ]
-
-let undersubscribed d = d > cores ()
-
-(** The largest tested count that still has a core per domain — what the
-    headline [speedup_max_vs_1] is measured at. *)
-let max_honest_domains () =
-  List.fold_left
-    (fun acc d -> if undersubscribed d then acc else max acc d)
-    1 (domain_counts ())
-
-(* ------------------------------------------------------------------ *)
-(* Route-phase identity gate (`--route-bench`)                          *)
-(* ------------------------------------------------------------------ *)
-
-(** Quick route-phase-only pass for CI: runs the WAN workload's route
-    phase sequentially and at every tested domain count, asserting that
-    (1) each parallel RIB is multiset-identical to the sequential
-    reference and (2) the parallel outputs are byte-identical — the same
-    row list, element for element — across all domain counts (the
-    packed-key arena merge is deterministic, so any divergence is a
-    scheduler or merge bug).  Exits non-zero on violation. *)
-let route_bench () =
-  header "route-bench: route phase sequential-vs-parallel identity";
-  let g = Lazy.force wan in
-  let subtasks = if !quick then 32 else 100 in
-  row "workload: wan (%d devices, %d input routes; cores %d; quick=%b)"
-    (G.device_count g)
-    (List.length g.G.input_routes)
-    (cores ()) !quick;
-  let direct, t_seq =
-    time (fun () -> Route_sim.run g.G.model ~input_routes:g.G.input_routes ())
-  in
-  let rib = direct.Route_sim.rib in
-  row "sequential route phase: %s (%d rows)" (seconds t_seq)
-    (List.length rib);
-  let runs =
-    List.map
-      (fun d ->
-        let r, t =
-          time (fun () ->
-              Parallel.route_phase_rib ~domains:d ~subtasks g.G.model
-                ~input_routes:g.G.input_routes)
-        in
-        let multiset_ok = Rib.Global.equal rib r in
-        row "domains=%-3d wall %-10s multiset-identical %b%s" d (seconds t)
-          multiset_ok
-          (if undersubscribed d then "  (undersubscribed)" else "");
-        (d, r, multiset_ok))
-      (domain_counts ())
-  in
-  let byte_identical =
-    match runs with
-    | [] -> true
-    | (_, first, _) :: rest ->
-        List.for_all
-          (fun (_, r, _) -> List.equal Route.equal first r)
-          rest
-  in
-  row "parallel outputs byte-identical across domain counts: %b"
-    byte_identical;
-  if not (byte_identical && List.for_all (fun (_, _, ok) -> ok) runs) then
-    failwith "route-bench: sequential-vs-parallel identity violated"
-
-(* ------------------------------------------------------------------ *)
-(* The perf run                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  header "perf harness: multicore end-to-end pipeline + lint gate";
-  let g = Lazy.force wan in
-  let route_subtasks = if !quick then 32 else 100 in
-  let traffic_subtasks = if !quick then 32 else 128 in
-  row "workload: wan  (%d devices, %d input routes, %d flow records; quick=%b)"
-    (G.device_count g)
-    (List.length g.G.input_routes)
-    (List.length g.G.flows) !quick;
-  row "cores available: %d   domain counts tested: %s"
-    (Domain.recommended_domain_count ())
-    (String.concat " "
-       (List.map string_of_int (domain_counts ())));
-
-  (* sequential references *)
-  let direct, t_route_seq =
-    time (fun () -> Route_sim.run g.G.model ~input_routes:g.G.input_routes ())
-  in
-  let rib = direct.Route_sim.rib in
-  sub "route phase (figure5a-style workload)";
-  row "%-10s %-10s %-10s" "domains" "wall" "identical";
-  let route_runs =
-    List.map
-      (fun d ->
-        let r, t =
-          time (fun () ->
-              Parallel.route_phase_rib ~domains:d ~subtasks:route_subtasks
-                g.G.model ~input_routes:g.G.input_routes)
-        in
-        let ok = Rib.Global.equal rib r in
-        row "%-10d %-10s %b" d (seconds t) ok;
-        (d, t, ok))
-      (domain_counts ())
-  in
-  row "sequential Route_sim.run reference: %s" (seconds t_route_seq);
-
-  (* traffic: FIB construction + EC keying hot paths *)
-  sub "hot paths (hardware independent)";
-  let fibs, t_fib = time (fun () -> Traffic_sim.build_fibs rib) in
-  row "batched FIB/trie construction: %s (%d devices)" (seconds t_fib)
-    (Hashtbl.length fibs);
-  let ecx, t_ecx = time (fun () -> Traffic_sim.ec_ctx g.G.model fibs) in
-  let sample =
-    List.filteri (fun i _ -> i < 2000) g.G.flows
-  in
-  let n_sample = List.length sample in
-  let (), t_key_ref =
-    time (fun () ->
-        List.iter
-          (fun f -> ignore (Traffic_sim.flow_ec_key g.G.model fibs f))
-          sample)
-  in
-  let (), t_key_pre =
-    time (fun () ->
-        List.iter (fun f -> ignore (Traffic_sim.flow_ec_key_pre ecx f)) sample)
-  in
-  let key_speedup = if t_key_pre > 0. then t_key_ref /. t_key_pre else nan in
-  row
-    "flow-EC keying over %d flows: reference %s, union-trie %s (+%s ctx) -> %.1fx"
-    n_sample (seconds t_key_ref) (seconds t_key_pre) (seconds t_ecx)
-    key_speedup;
-
-  (* traffic phase (figure5b-style workload) *)
-  sub "traffic phase (figure5b-style workload)";
-  let seq_traffic, t_traffic_seq =
-    time (fun () -> Traffic_sim.run g.G.model ~rib ~flows:g.G.flows ())
-  in
-  row "%-10s %-10s %-10s" "domains" "wall" "identical";
-  let traffic_runs =
-    List.map
-      (fun d ->
-        let r, t =
-          time (fun () ->
-              Parallel.traffic_phase ~domains:d ~subtasks:traffic_subtasks
-                g.G.model ~rib ~flows:g.G.flows ())
-        in
-        (d, t, r))
-      (domain_counts ())
-  in
-  let base_result =
-    match traffic_runs with (_, _, r) :: _ -> r | [] -> assert false
-  in
-  let traffic_rows =
-    List.map
-      (fun (d, t, r) ->
-        let ok = traffic_identical base_result r in
-        row "%-10d %-10s %b" d (seconds t) ok;
-        (d, t, ok))
-      traffic_runs
-  in
-  let seq_close = loads_close base_result seq_traffic in
-  row "sequential Traffic_sim.run reference: %s (loads agree: %b)"
-    (seconds t_traffic_seq) seq_close;
-  row "EC compression: traffic %.1fx (%d ECs / %d records)"
-    base_result.Traffic_sim.compression base_result.Traffic_sim.ec_count
-    (List.length g.G.flows);
-
-  let wall_of runs d =
-    List.find_map (fun (d', t, _) -> if d' = d then Some t else None) runs
-  in
-  let speedup runs =
-    match (wall_of runs 1, wall_of runs (max_honest_domains ())) with
-    | Some t1, Some tn when tn > 0. -> t1 /. tn
-    | _ -> nan
-  in
-  let route_speedup =
-    speedup (List.map (fun (d, t, ok) -> (d, t, ok)) route_runs)
-  in
-  let traffic_speedup = speedup traffic_rows in
-  row
-    "speedup at %d domains (largest fully-subscribed count): route %.2fx, \
-     traffic %.2fx (1 core -> ~1.0x expected)"
-    (max_honest_domains ()) route_speedup traffic_speedup;
-
-  let all_identical =
-    List.for_all (fun (_, _, ok) -> ok) route_runs
-    && List.for_all (fun (_, _, ok) -> ok) traffic_rows
-    && seq_close
-  in
-  if not all_identical then
-    failwith "perf harness: parallel results differ from sequential";
-
-  (* static-analysis gate cost vs the simulation it guards *)
-  sub "static-analysis gate";
-  let lint_input, t_lint_render =
-    time (fun () ->
-        Hoyan_analysis.Lint.make ~topo:g.G.model.Hoyan_sim.Model.topo
-          g.G.model.Hoyan_sim.Model.configs)
-  in
-  let lint_diags, t_lint_run =
-    time (fun () -> Hoyan_analysis.Lint.run lint_input)
-  in
-  let t_sim_seq = t_route_seq +. t_traffic_seq in
-  let lint_ratio =
-    if t_sim_seq > 0. then (t_lint_render +. t_lint_run) /. t_sim_seq else nan
-  in
-  row "lint: render %.4fs + analyse %.4fs; %d diagnostics; %.2f%% of \
-       sequential simulation"
-    t_lint_render t_lint_run
-    (List.length lint_diags)
-    (100. *. lint_ratio);
-
-  let domain_row (d, t, ok) =
-    J_obj
-      ([ ("domains", J_int d); ("wall_s", J_float t); ("identical", J_bool ok) ]
-      @ if undersubscribed d then [ ("undersubscribed", J_bool true) ] else [])
-  in
-  let json =
-    J_obj
-      [
-        ("bench", J_str "multicore end-to-end pipeline + lint gate");
-        ("generated_unix", J_float (Unix.gettimeofday ()));
-        ("cores_available", J_int (Domain.recommended_domain_count ()));
-        ("quick", J_bool !quick);
-        ( "workload",
-          J_obj
-            [
-              ("name", J_str "wan");
-              ("devices", J_int (G.device_count g));
-              ("input_routes", J_int (List.length g.G.input_routes));
-              ("flow_records", J_int (List.length g.G.flows));
-              ("route_subtasks", J_int route_subtasks);
-              ("traffic_subtasks", J_int traffic_subtasks);
-            ] );
-        ( "route_phase",
-          J_obj
-            [
-              ("sequential_wall_s", J_float t_route_seq);
-              ("domains", J_arr (List.map domain_row route_runs));
-              ("speedup_max_vs_1", J_float route_speedup);
-              ("speedup_measured_at_domains", J_int (max_honest_domains ()));
-              ( "ec_compression",
-                J_float direct.Route_sim.compression );
-            ] );
-        ( "traffic_phase",
-          J_obj
-            [
-              ("sequential_wall_s", J_float t_traffic_seq);
-              ("domains", J_arr (List.map domain_row traffic_rows));
-              ("speedup_max_vs_1", J_float traffic_speedup);
-              ("ec_compression", J_float base_result.Traffic_sim.compression);
-              ("ec_count", J_int base_result.Traffic_sim.ec_count);
-            ] );
-        ( "hot_paths",
-          J_obj
-            [
-              ("fib_build_s", J_float t_fib);
-              ("ec_ctx_build_s", J_float t_ecx);
-              ("ec_key_sample_flows", J_int n_sample);
-              ("ec_key_reference_s", J_float t_key_ref);
-              ("ec_key_union_trie_s", J_float t_key_pre);
-              ("ec_key_speedup", J_float key_speedup);
-            ] );
-        ( "lint_gate",
-          J_obj
-            [
-              ("render_wall_s", J_float t_lint_render);
-              ("lint_wall_s", J_float t_lint_run);
-              ("diagnostics", J_int (List.length lint_diags));
-              ("sim_sequential_wall_s", J_float t_sim_seq);
-              ("ratio_vs_sim", J_float lint_ratio);
-            ] );
-        ("peak_rss_kb", J_int (peak_rss_kb ()));
-        ("all_results_identical", J_bool all_identical);
-      ]
-  in
-  write_json !output_file json;
-  row "wrote %s (peak RSS %d kB)" !output_file (peak_rss_kb ())

@@ -9,12 +9,6 @@
      dune exec bench/main.exe -- --micro       # bechamel micro-benchmarks
      dune exec bench/main.exe -- --ablate      # design-choice ablations
      dune exec bench/main.exe -- --lint        # static-analysis gate cost
-     dune exec bench/main.exe -- --perf --out BENCH_PR6.json
-                                               # multicore perf harness;
-                                               # one JSON per PR
-     dune exec bench/main.exe -- --route-bench # quick route-phase gate:
-                                               # sequential-vs-parallel
-                                               # identity assertion
      dune exec bench/main.exe -- --telemetry   # telemetry noop/live cost
                                                # (writes BENCH_PR3.json)
      dune exec bench/main.exe -- --semantic    # semantic pass + intent
@@ -70,7 +64,6 @@ let () =
   let out, args = extract_out [] args in
   Option.iter
     (fun f ->
-      B_perf.output_file := f;
       B_telemetry.output_file := f;
       B_semantic.output_file := f;
       B_chaos.output_file := f;
@@ -85,8 +78,6 @@ let () =
   if List.mem "--micro" flags then B_micro.run ()
   else if List.mem "--ablate" flags then B_ablate.all ()
   else if List.mem "--lint" flags then B_lint.run ()
-  else if List.mem "--perf" flags then B_perf.perf ()
-  else if List.mem "--route-bench" flags then B_perf.route_bench ()
   else if List.mem "--telemetry" flags then B_telemetry.run ()
   else if List.mem "--semantic" flags then B_semantic.run ()
   else if List.mem "--chaos" flags then B_chaos.run ()

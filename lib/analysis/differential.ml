@@ -4,9 +4,9 @@
     Given the base network (a {!Lint.input}) and a change plan, this pass
     computes — without running any fixpoint —
 
-    - a {b semantic config diff}: the plan's command blocks are applied
-      per device ({!Hoyan_config.Change_plan.apply_commands}) and the
-      resulting IR is diffed stanza-by-stanza (neighbors, policies,
+    - a {b semantic config diff}: the plan is applied to the base
+      ({!Hoyan_config.Change_plan.apply}) and each applied command
+      block's IR is diffed stanza-by-stanza (neighbors, policies,
       prefix lists, VRFs, statics, networks, redistribution, ...),
       classifying the plan as no-op / local / propagating and emitting
       the HOY030..HOY037 plan-risk diagnostics;
@@ -504,11 +504,10 @@ let device_touched (dd : device_diff) : touched =
 (* ------------------------------------------------------------------ *)
 
 type diff = {
-  df_plan : Cp.t;
+  df_applied : Cp.applied; (* the plan applied to the base input *)
   df_base_input : Lint.input;
   df_patched_input : Lint.input;
   df_devices : device_diff list;
-  df_reports : Cp.apply_report list;
   df_class : classification;
   df_topo_dirty : bool; (* topology ops: everything is dirty *)
   df_touched : (string * touched) list; (* per changed device *)
@@ -517,75 +516,27 @@ type diff = {
   df_dirty_cache : (string, bool) Hashtbl.t; (* per-prefix memo *)
 }
 
-let count_block_lines block =
-  String.split_on_char '\n' block
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.length
+let plan_of (d : diff) = d.df_applied.Cp.ap_plan
 
-(** Build the differential: apply the plan's topology ops and command
-    blocks to the base input (mirroring
-    {!Hoyan_sim.Model.apply_change_plan}'s config-level semantics) and
-    diff base against patched per device. *)
-let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
-  let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
+(** Build the differential of a plan already applied to the base input
+    ({!Hoyan_config.Change_plan.apply}): diff base against patched per
+    applied command block and classify the plan. *)
+let of_applied ~tm (input : Lint.input) (ap : Cp.applied) : diff =
   Telemetry.with_span tm "differential.diff" (fun () ->
-      let topo' =
-        Option.map
-          (fun topo ->
-            List.fold_left
-              (fun topo op ->
-                match op with
-                | Cp.Add_device d -> Topology.add_device topo d
-                | Cp.Remove_device n -> Topology.remove_device topo n
-                | Cp.Add_link { la; la_if; lb; lb_if; l_bandwidth } ->
-                    Topology.add_link topo ~a:la ~a_if:la_if ~b:lb ~b_if:lb_if
-                      ~bandwidth:l_bandwidth
-                | Cp.Remove_link { ra; rb } ->
-                    Topology.remove_link topo ~a:ra ~b:rb)
-              topo plan.Cp.cp_topo_ops)
-          input.Lint.li_topo
+      let plan = ap.Cp.ap_plan in
+      let devices =
+        List.map
+          (fun (e : Cp.edit) ->
+            {
+              dd_device = e.Cp.ed_device;
+              dd_base = e.Cp.ed_base;
+              dd_patched = e.Cp.ed_patched;
+              dd_changes = diff_configs e.Cp.ed_base e.Cp.ed_patched;
+              dd_block_lines = Cp.block_line_count e.Cp.ed_block;
+              dd_issues = e.Cp.ed_issues;
+            })
+          ap.Cp.ap_edits
       in
-      let configs =
-        List.fold_left
-          (fun configs op ->
-            match op with
-            | Cp.Add_device d ->
-                if Smap.mem d.Topology.name configs then configs
-                else
-                  Smap.add d.Topology.name
-                    (Types.empty ~device:d.Topology.name
-                       ~vendor:d.Topology.vendor)
-                    configs
-            | Cp.Remove_device n -> Smap.remove n configs
-            | Cp.Add_link _ | Cp.Remove_link _ -> configs)
-          input.Lint.li_configs plan.Cp.cp_topo_ops
-      in
-      let patched, devices, reports =
-        List.fold_left
-          (fun (configs, devices, reports) (dev, block) ->
-            match Smap.find_opt dev configs with
-            | None ->
-                let report =
-                  Cp.report_failure ~device:dev
-                    (Printf.sprintf "unknown device %S" dev)
-                in
-                (configs, devices, report :: reports)
-            | Some cfg ->
-                let cfg', report = Cp.apply_commands cfg block in
-                let dd =
-                  {
-                    dd_device = dev;
-                    dd_base = cfg;
-                    dd_patched = cfg';
-                    dd_changes = diff_configs cfg cfg';
-                    dd_block_lines = count_block_lines block;
-                    dd_issues = report.Cp.ar_issues;
-                  }
-                in
-                (Smap.add dev cfg' configs, dd :: devices, report :: reports))
-          (configs, [], []) plan.Cp.cp_commands
-      in
-      let devices = List.rev devices and reports = List.rev reports in
       let topo_dirty = plan.Cp.cp_topo_ops <> [] in
       let routes_dirty =
         plan.Cp.cp_new_routes <> [] || plan.Cp.cp_withdraw <> []
@@ -617,14 +568,13 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
           devices
       in
       let patched_input =
-        Lint.make ?topo:topo' ~render:false patched
+        Lint.make ?topo:ap.Cp.ap_topo ~render:false ap.Cp.ap_configs
       in
       {
-        df_plan = plan;
+        df_applied = ap;
         df_base_input = input;
         df_patched_input = patched_input;
         df_devices = devices;
-        df_reports = reports;
         df_class = cls;
         df_topo_dirty = topo_dirty;
         df_touched = touched;
@@ -633,16 +583,15 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
         df_dirty_cache = Hashtbl.create 64;
       })
 
+(** Apply [plan] to the base input and build its differential. *)
+let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
+  let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
+  of_applied ~tm input
+    (Cp.apply ~topo:input.Lint.li_topo input.Lint.li_configs plan)
+
 (* ------------------------------------------------------------------ *)
 (* The dirty-region test and the relational carry-over rule             *)
 (* ------------------------------------------------------------------ *)
-
-(* Input routes surviving the plan, plus its new announcements. *)
-let patched_routes (plan : Cp.t) (input_routes : Route.t list) : Route.t list =
-  let survives (r : Route.t) =
-    not (List.exists (Prefix.equal r.Route.prefix) plan.Cp.cp_withdraw)
-  in
-  List.filter survives input_routes @ plan.Cp.cp_new_routes
 
 (** Whether the plan can affect prefix [p]'s simulated routes anywhere.
     Over-approximate: [false] guarantees that base and patched
@@ -658,10 +607,10 @@ let prefix_affected ?tm (d : diff) ~(input_routes : Route.t list)
         if d.df_class = No_op then false
         else if d.df_topo_dirty then true
         else if
-          List.exists (Prefix.equal p) d.df_plan.Cp.cp_withdraw
+          List.exists (Prefix.equal p) (plan_of d).Cp.cp_withdraw
           || List.exists
                (fun (r : Route.t) -> Prefix.equal r.Route.prefix p)
-               d.df_plan.Cp.cp_new_routes
+               (plan_of d).Cp.cp_new_routes
         then true
         else begin
           (* contributor changes can activate/deactivate an aggregate:
@@ -678,10 +627,10 @@ let prefix_affected ?tm (d : diff) ~(input_routes : Route.t list)
             let seed_inside r =
               List.exists
                 (fun (q : Prefix.t) -> region_contains r q)
-                (d.df_plan.Cp.cp_withdraw
+                ((plan_of d).Cp.cp_withdraw
                 @ List.map
                     (fun (x : Route.t) -> x.Route.prefix)
-                    d.df_plan.Cp.cp_new_routes)
+                    (plan_of d).Cp.cp_new_routes)
               || List.exists
                    (fun (_, t) ->
                      match t with
@@ -716,7 +665,7 @@ let prefix_affected ?tm (d : diff) ~(input_routes : Route.t list)
             else begin
               let bg = Lazy.force d.df_base_graph in
               let pg = Lazy.force d.df_patched_graph in
-              let proutes = patched_routes d.df_plan input_routes in
+              let proutes = Cp.patched_routes (plan_of d) input_routes in
               let base_exact =
                 Semantic.exact_origins bg ~input_routes p
               in
@@ -775,8 +724,8 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
       (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
       @ List.map
           (fun (r : Route.t) -> r.Route.prefix)
-          d.df_plan.Cp.cp_new_routes
-      @ d.df_plan.Cp.cp_withdraw)
+          (plan_of d).Cp.cp_new_routes
+      @ (plan_of d).Cp.cp_withdraw)
   in
   let dirty =
     List.filter (fun p -> prefix_affected ?tm d ~input_routes p) universe
@@ -794,12 +743,12 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
       | Cp.Remove_link { ra; rb } ->
           Hashtbl.replace devices ra ();
           Hashtbl.replace devices rb ())
-    d.df_plan.Cp.cp_topo_ops;
+    (plan_of d).Cp.cp_topo_ops;
   let signatures =
     List.map
       (fun p ->
         let pg = Lazy.force d.df_patched_graph in
-        let proutes = patched_routes d.df_plan input_routes in
+        let proutes = Cp.patched_routes (plan_of d) input_routes in
         let cl = Semantic.closure ?tm pg ~input_routes:proutes p in
         let members =
           List.sort String.compare (Hashtbl.fold (fun k () l -> k :: l) cl [])
@@ -973,7 +922,7 @@ let origination_checks ?tm (d : diff) ~input_routes (dd : device_diff) :
     D.t list =
   let bg = Lazy.force d.df_base_graph in
   let pg = Lazy.force d.df_patched_graph in
-  let proutes = patched_routes d.df_plan input_routes in
+  let proutes = Cp.patched_routes (plan_of d) input_routes in
   List.filter_map
     (fun c ->
       match (c.sc_stanza, c.sc_kind) with
@@ -1016,7 +965,7 @@ let withdraw_checks (d : diff) ~(input_routes : Route.t list) : D.t list =
                "the plan withdraws %s but no monitored input route \
                 announces it: the withdrawal is a no-op"
                (Prefix.to_string p)))
-      d.df_plan.Cp.cp_withdraw
+      (plan_of d).Cp.cp_withdraw
 
 (** Run the HOY030..HOY037 plan-risk checks over a diff.  [input_routes]
     (the monitored base announcements) feed the origination, withdrawal
@@ -1053,7 +1002,7 @@ let check ?tm ?(input_routes = []) (d : diff) : D.t list =
                     ~line:i.Cp.ci_lnum "command does not apply: %s"
                     i.Cp.ci_msg)
                 r.Cp.ar_issues)
-          d.df_reports
+          d.df_applied.Cp.ap_reports
       in
       let summary =
         if d.df_class <> Propagating then []
@@ -1084,7 +1033,7 @@ let summary (d : diff) : string =
     List.fold_left (fun n dd -> n + List.length dd.dd_changes) 0 d.df_devices
   in
   Printf.sprintf "%s: %d device block(s), %d stanza change(s), %s"
-    d.df_plan.Cp.cp_name
+    (plan_of d).Cp.cp_name
     (List.length d.df_devices)
     changes
     (classification_to_string d.df_class)

@@ -403,10 +403,11 @@ let vrf_rt_checks (input : input) : D.t list =
 (* Change-plan checks (HOY012 / HOY013 / HOY014)                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Dry-run the plan against the corpus.  Returns the plan diagnostics
-    plus the post-plan configs, so the configuration checks run on what
-    the network would look like {e after} the change. *)
-let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
+(** The plan diagnostics of an applied plan: topology operations are
+    checked against the base corpus, command blocks report through the
+    application's own issues. *)
+let plan_checks (input : input) (ap : Cp.applied) : D.t list =
+  let plan = ap.Cp.ap_plan in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let topo_names =
@@ -466,38 +467,29 @@ let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
                        "topology op removes non-existent link %s -- %s" ra rb))
               input.li_topo)
     plan.Cp.cp_topo_ops;
-  (* command blocks: unknown devices, then a dry-run apply per device *)
-  let merged =
-    List.fold_left
-      (fun configs (dev, block) ->
-        match Smap.find_opt dev configs with
-        | None ->
-            if not (known dev) then
+  (* command blocks *)
+  List.iter
+    (fun (r : Cp.apply_report) ->
+      let dev = r.Cp.ar_device in
+      List.iter
+        (fun (i : Cp.line_issue) ->
+          match i.Cp.ci_kind with
+          | Cp.Unknown_device ->
               add
                 (D.make ~code:"HOY012" ~device:dev ~obj
-                   "command block targets unknown device %s" dev);
-            configs
-        | Some cfg ->
-            let cfg', report = Cp.apply_commands cfg block in
-            List.iter
-              (fun (i : Cp.line_issue) ->
-                match i.Cp.ci_kind with
-                | Cp.Parse ->
-                    add
-                      (D.make ~code:"HOY014" ~device:dev
-                         ~obj:(if i.Cp.ci_text = "" then obj else i.Cp.ci_text)
-                         ~line:i.Cp.ci_lnum "command does not parse: %s"
-                         i.Cp.ci_msg)
-                | Cp.Delete ->
-                    add
-                      (D.make ~code:"HOY013" ~device:dev ~obj:i.Cp.ci_text
-                         ~line:i.Cp.ci_lnum "deletion does not apply: %s"
-                         i.Cp.ci_msg))
-              report.Cp.ar_issues;
-            Smap.add dev cfg' configs)
-      input.li_configs plan.Cp.cp_commands
-  in
-  (List.rev !diags, merged)
+                   "command block targets unknown device %s" dev)
+          | Cp.Parse ->
+              add
+                (D.make ~code:"HOY014" ~device:dev
+                   ~obj:(if i.Cp.ci_text = "" then obj else i.Cp.ci_text)
+                   ~line:i.Cp.ci_lnum "command does not parse: %s" i.Cp.ci_msg)
+          | Cp.Delete ->
+              add
+                (D.make ~code:"HOY013" ~device:dev ~obj:i.Cp.ci_text
+                   ~line:i.Cp.ci_lnum "deletion does not apply: %s" i.Cp.ci_msg))
+        r.Cp.ar_issues)
+    ap.Cp.ap_reports;
+  List.rev !diags
 
 (* ------------------------------------------------------------------ *)
 (* RCL specification checks (HOY015..HOY018)                           *)
@@ -768,13 +760,21 @@ let check_spec ((label, src) : string * string) : D.t list =
 (* The pass                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run (input : input) : D.t list =
+(** The pass over a corpus whose change plan is already applied: the
+    plan diagnostics come from the application, and the configuration
+    checks run on what the network would look like {e after} the change.
+    [input.li_plan] is not consulted. *)
+let run_applied (input : input) (applied : Cp.applied option) : D.t list =
   let plan_diags, input =
-    match input.li_plan with
+    match applied with
     | None -> ([], input)
-    | Some plan ->
-        let ds, merged = plan_checks input plan in
-        (ds, { input with li_configs = merged; li_texts = render_texts merged })
+    | Some ap ->
+        ( plan_checks input ap,
+          {
+            input with
+            li_configs = ap.Cp.ap_configs;
+            li_texts = render_texts ap.Cp.ap_configs;
+          } )
   in
   let config_diags =
     Smap.fold
@@ -785,6 +785,10 @@ let run (input : input) : D.t list =
   let spec_diags = List.concat_map check_spec input.li_specs in
   List.sort D.compare_diag
     (plan_diags @ config_diags @ corpus_diags @ spec_diags)
+
+let run (input : input) : D.t list =
+  run_applied input
+    (Option.map (Cp.apply ~topo:input.li_topo input.li_configs) input.li_plan)
 
 let has_errors ds =
   List.exists (fun (d : D.t) -> d.D.d_severity = D.Error) ds

@@ -48,14 +48,14 @@ let make ?(topo_ops = []) ?(commands = []) ?(new_routes = [])
     cp_withdraw = withdraw;
   }
 
+(** Non-blank lines of a command block. *)
+let block_line_count block =
+  String.split_on_char '\n' block
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.length
+
 let command_line_count t =
-  List.fold_left
-    (fun n (_, block) ->
-      n
-      + (String.split_on_char '\n' block
-        |> List.filter (fun l -> String.trim l <> "")
-        |> List.length))
-    0 t.cp_commands
+  List.fold_left (fun n (_, block) -> n + block_line_count block) 0 t.cp_commands
 
 (* ------------------------------------------------------------------ *)
 (* Config merging                                                      *)
@@ -448,8 +448,10 @@ let apply_delete (cfg : Types.t) (tokens : string list) (raw : string) :
 
 (** One command line the application pass could not act on, with enough
     structure (device comes from the enclosing report) for the analysis
-    layer to render it as a located diagnostic instead of a bare count. *)
-type issue_kind = Parse | Delete
+    layer to render it as a located diagnostic instead of a bare count.
+    [Unknown_device] marks a whole block whose target device has no
+    config once the plan's topology operations are applied. *)
+type issue_kind = Parse | Delete | Unknown_device
 
 type line_issue = {
   ci_lnum : int; (* 1-based line number within the command block *)
@@ -472,14 +474,6 @@ let parse_issues r =
 
 let delete_issues r =
   List.filter (fun i -> i.ci_kind = Delete) r.ar_issues
-
-(** A report for a command block that never reached a device config
-    (e.g. the plan names an unknown device). *)
-let report_failure ~device msg =
-  {
-    ar_device = device;
-    ar_issues = [ { ci_lnum = 0; ci_text = ""; ci_kind = Parse; ci_msg = msg } ];
-  }
 
 (** Apply a command block (in the device's own dialect) to its config.
     Deletion lines start with [no] (vendor A) or [undo] (vendor B); the
@@ -546,3 +540,109 @@ let apply_commands (cfg : Types.t) (block : string) : Types.t * apply_report =
       (List.map parse_issue parse_errors @ List.rev del_issues)
   in
   (cfg, { ar_device = cfg.Types.dc_device; ar_issues = issues })
+
+(* ------------------------------------------------------------------ *)
+(* Plan application                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** One command block that reached a device config: the config before
+    and after the block, and the block's application issues. *)
+type edit = {
+  ed_device : string;
+  ed_block : string;
+  ed_base : Types.t;
+  ed_patched : Types.t;
+  ed_issues : line_issue list;
+}
+
+(** A plan applied to a network: the single definition of "changed"
+    that the model, the lint gate, the differential pass and the
+    server's cache keys all share. *)
+type applied = {
+  ap_plan : t;
+  ap_topo : Topology.t option;  (* [None] iff applied without a topology *)
+  ap_configs : Types.t Types.Smap.t;
+  ap_edits : edit list;  (* one per block that reached a config, plan order *)
+  ap_reports : apply_report list;  (* one per command block, plan order *)
+}
+
+let apply_topo_op topo = function
+  | Add_device d -> Topology.add_device topo d
+  | Remove_device n -> Topology.remove_device topo n
+  | Add_link { la; la_if; lb; lb_if; l_bandwidth } ->
+      Topology.add_link topo ~a:la ~a_if:la_if ~b:lb ~b_if:lb_if
+        ~bandwidth:l_bandwidth
+  | Remove_link { ra; rb } -> Topology.remove_link topo ~a:ra ~b:rb
+
+(** Apply a plan: topology operations first (an added device gets an
+    empty config, so a block can configure a brand-new router; a removed
+    device loses its config), then every command block in plan order.  A
+    block whose device has no config reports [Unknown_device] — "typos
+    in the names of routers to be changed ... would cause the change to
+    be ineffective on some routers" (Table 6). *)
+let apply ~(topo : Topology.t option) (configs : Types.t Types.Smap.t)
+    (plan : t) : applied =
+  let topo =
+    Option.map
+      (fun topo -> List.fold_left apply_topo_op topo plan.cp_topo_ops)
+      topo
+  in
+  let configs =
+    List.fold_left
+      (fun configs op ->
+        match op with
+        | Add_device d when not (Types.Smap.mem d.Topology.name configs) ->
+            Types.Smap.add d.Topology.name
+              (Types.empty ~device:d.Topology.name ~vendor:d.Topology.vendor)
+              configs
+        | Remove_device n -> Types.Smap.remove n configs
+        | Add_device _ | Add_link _ | Remove_link _ -> configs)
+      configs plan.cp_topo_ops
+  in
+  let configs, edits, reports =
+    List.fold_left
+      (fun (configs, edits, reports) (dev, block) ->
+        match Types.Smap.find_opt dev configs with
+        | None ->
+            let issue =
+              {
+                ci_lnum = 0;
+                ci_text = "";
+                ci_kind = Unknown_device;
+                ci_msg = Printf.sprintf "unknown device %S" dev;
+              }
+            in
+            (configs, edits, { ar_device = dev; ar_issues = [ issue ] } :: reports)
+        | Some cfg ->
+            let cfg', report = apply_commands cfg block in
+            let edit =
+              {
+                ed_device = dev;
+                ed_block = block;
+                ed_base = cfg;
+                ed_patched = cfg';
+                ed_issues = report.ar_issues;
+              }
+            in
+            (Types.Smap.add dev cfg' configs, edit :: edits, report :: reports))
+      (configs, [], []) plan.cp_commands
+  in
+  {
+    ap_plan = plan;
+    ap_topo = topo;
+    ap_configs = configs;
+    ap_edits = List.rev edits;
+    ap_reports = List.rev reports;
+  }
+
+(** The simulation inputs after the plan: input routes minus the
+    reclaimed prefixes, plus the new announcements. *)
+let patched_routes (plan : t) (input_routes : Route.t list) : Route.t list =
+  match (plan.cp_withdraw, plan.cp_new_routes) with
+  | [], [] -> input_routes
+  | withdrawn, added ->
+      List.filter
+        (fun (r : Route.t) ->
+          not (List.exists (Prefix.equal r.Route.prefix) withdrawn))
+        input_routes
+      @ added

@@ -112,132 +112,210 @@ let lint_specs (intents : Intents.t list) : (string * string) list =
            Some (Printf.sprintf "intent-%d" i, spec)
        | _ -> None)
 
-(** Run one change-verification request against the pre-processed base.
-    Each pipeline phase runs under its own telemetry span
-    ([verify.lint_gate] / [verify.model_update] / [verify.route_sim] /
-    [verify.traffic_sim] / [verify.intents]); the static-analysis gate
-    additionally journals its outcome as a [lint.gate] event. *)
-let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
-    ?(diff = false) ?chaos ?(on_partial = `Refuse) ?(stop_after = `Full)
-    ?inc ?inc_sim (base : Preprocess.base) (rq : request) : result =
+(* ------------------------------------------------------------------ *)
+(* The staged pipeline                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* What every stage of one request reads.  [applied] is the plan applied
+   to the base — the one application per request, forced by whichever
+   stage needs it first; [plan_diff] is the differential built from it. *)
+type ctx = {
+  tm : Telemetry.t;
+  base : Preprocess.base;
+  rq : request;
+  rq_span : Hoyan_telemetry.Trace.span;
+  t0 : float;
+  traffic_seconds : float ref;
+  applied : Cp.applied Lazy.t;
+  plan_diff : Differential.diff Lazy.t;
+}
+
+(* What the stages have established so far; [finish] turns it into the
+   request's [result]. *)
+type state = {
+  st_lint : Diagnostics.t list;
+  st_gated : bool;
+  st_model : Model.t;
+  st_warnings : string list;
+  st_diff : Differential.diff option;
+  st_carried : Intents.t list;
+  st_carried_violations : Intents.violation list;
+  st_active : Intents.t list; (* intents not carried over *)
+  st_precheck : (Intents.t * Semantic.verdict) list;
+  st_static_violations : Intents.violation list;
+  st_sim_intents : Intents.t list; (* left open by the pre-checker *)
+  st_sim_skipped : bool;
+  st_coverage : coverage option;
+  st_inc : Incremental.sim option;
+  st_base_rib : Route.t list;
+  st_updated_rib : Route.t list;
+  st_traffic : Traffic_sim.result Lazy.t;
+  st_sim_violations : Intents.violation list;
+}
+
+let start ?tm (base : Preprocess.base) (rq : request) : ctx =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
-  let rq_sp =
+  let rq_span =
     Telemetry.span tm ~args:[ ("request", rq.rq_name) ] "verify.request"
   in
   let t0 = Unix.gettimeofday () in
-  (* traffic simulation is lazy and usually forced after [vr_sim_seconds]
-     stops counting — time the forcing site so the cost is attributed
-     somewhere ([vr_traffic_seconds] + a metric) instead of vanishing *)
-  let traffic_seconds = ref 0. in
-  let timed_traffic (f : unit -> Traffic_sim.result) :
-      Traffic_sim.result Lazy.t =
-    lazy
-      (let tt0 = Unix.gettimeofday () in
-       let r = f () in
-       let dt = Unix.gettimeofday () -. tt0 in
-       traffic_seconds := !traffic_seconds +. dt;
-       Telemetry.observe tm "hoyan_verify_traffic_seconds" dt;
-       r)
+  let bm = base.Preprocess.b_model in
+  let applied =
+    lazy (Cp.apply ~topo:(Some bm.Model.topo) bm.Model.configs rq.rq_plan)
   in
-  (* 0. static-analysis gate: lint the base configs, the change plan and
-     the request's RCL specs before any fixpoint runs *)
+  let plan_diff =
+    lazy
+      (Differential.of_applied ~tm
+         (Lint.make ~topo:bm.Model.topo ~render:false bm.Model.configs)
+         (Lazy.force applied))
+  in
+  { tm; base; rq; rq_span; t0; traffic_seconds = ref 0.; applied; plan_diff }
+
+(* Traffic simulation is lazy and usually forced after [vr_sim_seconds]
+   stops counting — time the forcing site so the cost is attributed
+   somewhere ([vr_traffic_seconds] + a metric) instead of vanishing. *)
+let timed_traffic cx (f : unit -> Traffic_sim.result) :
+    Traffic_sim.result Lazy.t =
+  lazy
+    (let tt0 = Unix.gettimeofday () in
+     let r = f () in
+     let dt = Unix.gettimeofday () -. tt0 in
+     cx.traffic_seconds := !(cx.traffic_seconds) +. dt;
+     Telemetry.observe cx.tm "hoyan_verify_traffic_seconds" dt;
+     r)
+
+let violations st =
+  st.st_static_violations @ st.st_sim_violations @ st.st_carried_violations
+
+let partial st =
+  match st.st_coverage with
+  | Some c -> c.cov_merged < c.cov_total
+  | None -> false
+
+let verdict_ok st = violations st = [] && st.st_warnings = [] && not (partial st)
+
+(* The one constructor of a [result]: every exit of [run] ends here. *)
+let finish cx st ~ok : result =
+  let violations = violations st in
+  Telemetry.finish cx.tm cx.rq_span;
+  if Telemetry.enabled cx.tm then
+    Telemetry.event cx.tm "verify.done"
+      [
+        ("request", Journal.S cx.rq.rq_name);
+        ("ok", Journal.B ok);
+        ("violations", Journal.I (List.length violations));
+        ("sim_skipped", Journal.B st.st_sim_skipped);
+        ("partial", Journal.B (partial st));
+      ];
+  {
+    vr_request = cx.rq.rq_name;
+    vr_ok = ok;
+    vr_violations = violations;
+    vr_plan_warnings = st.st_warnings;
+    vr_lint = st.st_lint;
+    vr_gated = st.st_gated;
+    vr_precheck = st.st_precheck;
+    vr_sim_skipped = st.st_sim_skipped;
+    vr_diff_class = Option.map (fun d -> d.Differential.df_class) st.st_diff;
+    vr_carried = st.st_carried;
+    vr_coverage = st.st_coverage;
+    vr_partial = partial st;
+    vr_inc =
+      Option.map (fun (s : Incremental.sim) -> s.Incremental.s_stats) st.st_inc;
+    vr_updated_model = st.st_model;
+    vr_base_rib = st.st_base_rib;
+    vr_updated_rib = st.st_updated_rib;
+    vr_updated_traffic = st.st_traffic;
+    (* elapsed minus whatever the intent checks spent forcing traffic:
+       the traffic cost lives in [vr_traffic_seconds] only, whether the
+       lazy was forced here or later by the caller *)
+    vr_sim_seconds = Unix.gettimeofday () -. cx.t0 -. !(cx.traffic_seconds);
+    vr_traffic_seconds = cx.traffic_seconds;
+  }
+
+(* Stage 0, the static-analysis gate: lint the applied plan, the configs
+   it produces and the request's RCL specs before any fixpoint runs. *)
+let gate cx lint : state =
   let lint_diags =
     match lint with
     | Lint_off -> []
     | Lint_warn | Lint_fail ->
-        Telemetry.with_span tm "verify.lint_gate" (fun () ->
-            let model = base.Preprocess.b_model in
-            Lint.run
-              (Lint.make ~topo:model.Model.topo ~plan:rq.rq_plan
-                 ~specs:(lint_specs rq.rq_intents) model.Model.configs))
+        Telemetry.with_span cx.tm "verify.lint_gate" (fun () ->
+            let bm = cx.base.Preprocess.b_model in
+            (* the applied configs are re-rendered; the base's text is
+               never read *)
+            Lint.run_applied
+              (Lint.make ~topo:bm.Model.topo ~render:false
+                 ~specs:(lint_specs cx.rq.rq_intents) bm.Model.configs)
+              (Some (Lazy.force cx.applied)))
   in
   let gated = lint = Lint_fail && Lint.has_errors lint_diags in
-  if Telemetry.enabled tm && lint <> Lint_off then
-    Telemetry.event tm "lint.gate"
+  if Telemetry.enabled cx.tm && lint <> Lint_off then
+    Telemetry.event cx.tm "lint.gate"
       [
-        ("request", Journal.S rq.rq_name);
+        ("request", Journal.S cx.rq.rq_name);
         ("diagnostics", Journal.I (List.length lint_diags));
         ("gated", Journal.B gated);
       ];
-  if gated || stop_after = `Gate then begin
-    if gated then Telemetry.count tm "hoyan_verify_gated_total" 1;
-    Telemetry.finish tm rq_sp;
-    {
-      vr_request = rq.rq_name;
-      (* a [`Gate]-bounded request (the server's lint class) is ok iff
-         the gate found no error-severity diagnostic; a gated request
-         never is *)
-      vr_ok = (not gated) && stop_after = `Gate
-              && not (Lint.has_errors lint_diags);
-      vr_violations = [];
-      vr_plan_warnings = [];
-      vr_lint = lint_diags;
-      vr_gated = gated;
-      vr_precheck = [];
-      vr_sim_skipped = false;
-      vr_diff_class = None;
-      vr_carried = [];
-      vr_coverage = None;
-      vr_partial = false;
-      vr_inc = None;
-      vr_updated_model = base.Preprocess.b_model;
-      vr_base_rib = [];
-      vr_updated_rib = [];
-      vr_updated_traffic =
-        timed_traffic (fun () ->
-            Traffic_sim.run base.Preprocess.b_model ~rib:[] ~flows:[] ());
-      vr_sim_seconds = Unix.gettimeofday () -. t0;
-      vr_traffic_seconds = traffic_seconds;
-    }
-  end
-  else begin
-  (* 1. incremental model update (a cached incremental artifact already
-     carries the patched model and its apply reports) *)
-  let updated_model, reports =
+  if gated then Telemetry.count cx.tm "hoyan_verify_gated_total" 1;
+  {
+    st_lint = lint_diags;
+    st_gated = gated;
+    st_model = cx.base.Preprocess.b_model;
+    st_warnings = [];
+    st_diff = None;
+    st_carried = [];
+    st_carried_violations = [];
+    st_active = cx.rq.rq_intents;
+    st_precheck = [];
+    st_static_violations = [];
+    st_sim_intents = [];
+    st_sim_skipped = false;
+    st_coverage = None;
+    st_inc = None;
+    st_base_rib = [];
+    st_updated_rib = [];
+    (* nothing simulated yet *)
+    st_traffic =
+      timed_traffic cx (fun () ->
+          Traffic_sim.run cx.base.Preprocess.b_model ~rib:[] ~flows:[] ());
+    st_sim_violations = [];
+  }
+
+(* Stage 1: the updated model (a cached incremental artifact already
+   carries the patched model and its apply reports). *)
+let apply_plan cx ~inc_sim st : state =
+  let model, reports =
     match inc_sim with
     | Some (s : Incremental.sim) ->
         (s.Incremental.s_model, s.Incremental.s_reports)
     | None ->
-        Telemetry.with_span tm "verify.model_update" (fun () ->
-            Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
+        Telemetry.with_span cx.tm "verify.model_update" (fun () ->
+            let ap = Lazy.force cx.applied in
+            (Model.of_applied cx.base.Preprocess.b_model ap, ap.Cp.ap_reports))
   in
-  let warnings = plan_warnings reports in
-  (* 2. route simulation on the updated model; reclaimed prefixes are
-     removed from the inputs, announced ones added *)
-  let input_routes =
-    match rq.rq_plan.Cp.cp_withdraw with
-    | [] -> base.Preprocess.b_input_routes
-    | withdrawn ->
-        List.filter
-          (fun (r : Route.t) ->
-            not (List.exists (Prefix.equal r.Route.prefix) withdrawn))
-          base.Preprocess.b_input_routes
-  in
-  (* 2a. differential pre-check: diff base against patched and carry
-     over every intent the change provably cannot affect — reachability
-     intents whose prefix is outside the statically computed dirty
-     region, and (on a semantic no-op) everything else too.  Carried
-     intents keep their base-run verdicts; only the affected remainder
-     flows into the pre-checker and the simulator below. *)
-  let diff_info =
-    if not diff then None
-    else
-      Telemetry.with_span tm "verify.diff" (fun () ->
-          let bm = base.Preprocess.b_model in
-          Some
-            (Differential.diff ~tm
-               (Lint.make ~topo:bm.Model.topo ~render:false bm.Model.configs)
-               rq.rq_plan))
-  in
-  let carried, active_intents =
-    match diff_info with
-    | None -> ([], rq.rq_intents)
-    | Some _ when base.Preprocess.b_partial ->
-        (* carrying verdicts derived from a partial (failed-subtask)
-           base run would promote unsound verdicts to proven facts: a
-           route missing from a failed subtask looks like a base
-           reachability violation — or masks one.  Refuse; every intent
-           goes through the pre-checker and the simulator instead. *)
+  { st with st_model = model; st_warnings = plan_warnings reports }
+
+(* Stage 2, differential carry-over: diff base against patched and carry
+   over every intent the change provably cannot affect — reachability
+   intents whose prefix is outside the statically computed dirty region,
+   and (on a semantic no-op) everything else too.  Carried intents keep
+   their base-run verdicts; only the affected remainder flows into the
+   pre-checker and the simulator. *)
+let carry_over cx ~diff st : state =
+  if not diff then st
+  else
+    let tm = cx.tm and base = cx.base and rq = cx.rq in
+    let d =
+      Telemetry.with_span tm "verify.diff" (fun () -> Lazy.force cx.plan_diff)
+    in
+    let carried, active =
+      if base.Preprocess.b_partial then begin
+        (* carrying verdicts derived from a partial (failed-subtask) base
+           run would promote unsound verdicts to proven facts: a route
+           missing from a failed subtask looks like a base reachability
+           violation — or masks one.  Refuse; every intent goes through
+           the pre-checker and the simulator instead. *)
         Telemetry.count tm "hoyan_verify_carryover_refused_total" 1;
         if Telemetry.enabled tm then
           Telemetry.event tm "verify.carryover_refused"
@@ -246,93 +324,103 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
               ("reason", Journal.S "base run partial");
             ];
         ([], rq.rq_intents)
-    | Some d ->
+      end
+      else
         List.partition
-          (fun intent ->
-            match intent with
+          (function
             | Intents.Route_reach { rr_prefix; _ } ->
                 Differential.carries_over ~tm d
                   ~input_routes:base.Preprocess.b_input_routes rr_prefix
-            | _ ->
-                d.Differential.df_class = Differential.No_op)
+            | _ -> d.Differential.df_class = Differential.No_op)
           rq.rq_intents
+    in
+    if Telemetry.enabled tm then
+      Telemetry.event tm "verify.diff"
+        [
+          ("request", Journal.S rq.rq_name);
+          ( "class",
+            Journal.S
+              (Differential.classification_to_string d.Differential.df_class)
+          );
+          ("carried", Journal.I (List.length carried));
+          ("active", Journal.I (List.length active));
+        ];
+    (* carried intents are re-evaluated against the (cached) base state:
+       their verdicts are by construction the base run's verdicts *)
+    let carried_violations =
+      if carried = [] then []
+      else
+        Telemetry.with_span tm "verify.carryover" (fun () ->
+            let brib = Lazy.force base.Preprocess.b_rib in
+            List.concat_map
+              (fun intent ->
+                Intents.verify intent ~model:base.Preprocess.b_model
+                  ~base_rib:brib ~updated_rib:brib
+                  ~base_traffic:base.Preprocess.b_traffic
+                  ~updated_traffic:base.Preprocess.b_traffic)
+              carried)
+    in
+    {
+      st with
+      st_diff = Some d;
+      st_carried = carried;
+      st_carried_violations = carried_violations;
+      st_active = active;
+    }
+
+(* The pre-checker's verdict for every intent, in order: reachability
+   intents are batched (per-prefix closures are shared); anything the
+   pre-checker has no theory for goes straight to the simulator. *)
+let precheck_verdicts cx (model : Model.t) (intents : Intents.t list) :
+    (Intents.t * Semantic.verdict) list =
+  let g =
+    Semantic.build ~tm:cx.tm
+      (Lint.make ~topo:model.Model.topo ~render:false model.Model.configs)
   in
-  if Telemetry.enabled tm && diff then
-    Telemetry.event tm "verify.diff"
-      [
-        ("request", Journal.S rq.rq_name);
-        ( "class",
-          Journal.S
-            (match diff_info with
-            | Some d ->
-                Differential.classification_to_string d.Differential.df_class
-            | None -> "-") );
-        ("carried", Journal.I (List.length carried));
-        ("active", Journal.I (List.length active_intents));
-      ];
-  (* carried intents are re-evaluated against the (cached) base state:
-     their verdicts are by construction the base run's verdicts *)
-  let carried_violations =
-    if carried = [] then []
-    else
-      Telemetry.with_span tm "verify.carryover" (fun () ->
-          let brib = Lazy.force base.Preprocess.b_rib in
-          List.concat_map
-            (fun intent ->
-              Intents.verify intent ~model:base.Preprocess.b_model
-                ~base_rib:brib ~updated_rib:brib
-                ~base_traffic:base.Preprocess.b_traffic
-                ~updated_traffic:base.Preprocess.b_traffic)
-            carried)
+  let sim_inputs =
+    Cp.patched_routes cx.rq.rq_plan cx.base.Preprocess.b_input_routes
   in
-  (* 2b. static intent pre-check on the updated model: classify each
-     reachability intent against the control-plane graph; refuted intents
-     become violations with a static witness, and when nothing is left
-     for the simulator the fixpoints below are skipped entirely *)
-  let precheck_results =
-    if (not precheck) || active_intents = [] then []
+  let tagged =
+    List.mapi
+      (fun i intent ->
+        match intent with
+        | Intents.Route_reach { rr_prefix; rr_devices; rr_expect } ->
+            ( intent,
+              Some
+                {
+                  Semantic.ri_name = Printf.sprintf "intent-%d" i;
+                  ri_prefix = rr_prefix;
+                  ri_devices = rr_devices;
+                  ri_expect = rr_expect;
+                } )
+        | _ -> (intent, None))
+      intents
+  in
+  let verdicts =
+    Semantic.precheck_batch ~tm:cx.tm g ~input_routes:sim_inputs
+      (List.filter_map snd tagged)
+  in
+  let rec zip tagged verdicts =
+    match (tagged, verdicts) with
+    | [], _ -> []
+    | (intent, None) :: rest, vs ->
+        (intent, Semantic.Needs_simulation) :: zip rest vs
+    | (intent, Some _) :: rest, (_, v) :: vs -> (intent, v) :: zip rest vs
+    | (intent, Some _) :: rest, [] ->
+        (intent, Semantic.Needs_simulation) :: zip rest []
+  in
+  zip tagged verdicts
+
+(* Stage 3, the static intent pre-check on the updated model: refuted
+   intents become violations with a static witness, and when nothing is
+   left for the simulator the fixpoints are skipped entirely. *)
+let precheck_stage cx ~precheck st : state =
+  let active = st.st_active in
+  let results =
+    if (not precheck) || active = [] then []
     else
-      Telemetry.with_span tm "verify.precheck" (fun () ->
-          let g =
-            Semantic.build ~tm
-              (Lint.make ~topo:updated_model.Model.topo ~render:false
-                 updated_model.Model.configs)
-          in
-          let sim_inputs = input_routes @ rq.rq_plan.Cp.cp_new_routes in
-          (* batch the reachability intents (per-prefix closures are
-             shared); anything the pre-checker has no theory for goes
-             straight to the simulator *)
-          let tagged =
-            List.mapi
-              (fun i intent ->
-                match intent with
-                | Intents.Route_reach { rr_prefix; rr_devices; rr_expect } ->
-                    ( intent,
-                      Some
-                        {
-                          Semantic.ri_name = Printf.sprintf "intent-%d" i;
-                          ri_prefix = rr_prefix;
-                          ri_devices = rr_devices;
-                          ri_expect = rr_expect;
-                        } )
-                | _ -> (intent, None))
-              active_intents
-          in
-          let verdicts =
-            Semantic.precheck_batch ~tm g ~input_routes:sim_inputs
-              (List.filter_map snd tagged)
-          in
-          let rec zip tagged verdicts =
-            match (tagged, verdicts) with
-            | [], _ -> []
-            | (intent, None) :: rest, vs ->
-                (intent, Semantic.Needs_simulation) :: zip rest vs
-            | (intent, Some _) :: rest, (_, v) :: vs ->
-                (intent, v) :: zip rest vs
-            | (intent, Some _) :: rest, [] ->
-                (intent, Semantic.Needs_simulation) :: zip rest []
-          in
-          zip tagged verdicts)
+      Telemetry.with_span cx.tm "verify.precheck" (fun () ->
+          precheck_verdicts cx st.st_model active)
   in
   let static_violations =
     List.filter_map
@@ -340,164 +428,160 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
         | intent, Semantic.Refuted why ->
             Some (Intents.violation intent ("statically refuted: " ^ why))
         | _ -> None)
-      precheck_results
+      results
   in
   let sim_intents =
-    if precheck_results = [] then active_intents
+    if results = [] then active
     else
       List.filter_map
-        (function
-          | intent, Semantic.Needs_simulation -> Some intent | _ -> None)
-        precheck_results
+        (function intent, Semantic.Needs_simulation -> Some intent | _ -> None)
+        results
   in
-  let resolved = List.length active_intents - List.length sim_intents in
-  if Telemetry.enabled tm && precheck_results <> [] then begin
-    Telemetry.count tm "hoyan_precheck_resolved_total" resolved;
-    Telemetry.event tm "verify.precheck"
+  if Telemetry.enabled cx.tm && results <> [] then begin
+    let resolved = List.length active - List.length sim_intents in
+    Telemetry.count cx.tm "hoyan_precheck_resolved_total" resolved;
+    Telemetry.event cx.tm "verify.precheck"
       [
-        ("request", Journal.S rq.rq_name);
-        ("intents", Journal.I (List.length active_intents));
+        ("request", Journal.S cx.rq.rq_name);
+        ("intents", Journal.I (List.length active));
         ("resolved", Journal.I resolved);
         ("refuted", Journal.I (List.length static_violations));
       ]
   end;
-  let sim_skipped =
-    (precheck && active_intents <> [] && sim_intents = [])
-    || (diff && rq.rq_intents <> [] && active_intents = [])
+  {
+    st with
+    st_precheck = results;
+    st_static_violations = static_violations;
+    st_sim_intents = sim_intents;
+    st_sim_skipped =
+      (precheck && active <> [] && sim_intents = [])
+      || (cx.rq.rq_intents <> [] && active = []);
+  }
+
+(* The distributed route phase, with its outcome contract surfaced as
+   coverage. *)
+let distributed_route_phase cx ~chaos ~subtasks (model : Model.t) inputs =
+  let fw = Framework.create ~tm:cx.tm ?chaos model in
+  let phase = Framework.run_route_phase ~subtasks fw ~input_routes:inputs in
+  let failed = phase.Framework.rp_failed in
+  let cov =
+    {
+      cov_total = List.length phase.Framework.rp_subtasks;
+      cov_merged =
+        List.length phase.Framework.rp_subtasks - List.length failed;
+      cov_failed =
+        List.map
+          (fun (f : Framework.subtask_failure) ->
+            (f.Framework.sf_id, f.Framework.sf_reason))
+          failed;
+    }
   in
-  (* a [`Static]-bounded request (the server's precheck class) never
-     simulates: whatever the pre-checker left open stays open, and the
-     verdict covers only the statically decided part *)
-  let static_only = stop_after = `Static in
-  (* 3. route simulation on the updated model; reclaimed prefixes were
-     removed from the inputs above, announced ones are added here.  With
-     an incremental context ([?inc]) or a cached spliced artifact
-     ([?inc_sim]), the Direct path re-converges only the plan's dirty
-     region and splices into the converged base RIB instead of running
-     the fixpoint from scratch (broad plans honestly fall back inside
-     [Incremental.simulate] — see [vr_inc]). *)
-  let inc_used : Incremental.sim option ref = ref None in
-  let updated_rib, dist_coverage =
-    if sim_skipped || static_only then ([], None)
+  (phase.Framework.rp_rib, Some cov)
+
+(* Stage 4, route simulation on the updated model over the plan's
+   patched inputs (reclaimed prefixes removed, announced ones added).
+   With an incremental context ([?inc]) or a cached spliced artifact
+   ([?inc_sim]), the Direct path re-converges only the plan's dirty
+   region and splices into the converged base RIB instead of running the
+   fixpoint from scratch (broad plans honestly fall back inside
+   [Incremental.simulate] — see [vr_inc]).  Traffic stays lazy; the
+   incremental path reuses the spliced-FIB traffic artifact. *)
+let simulate cx ~mode ~chaos ~inc ~inc_sim st : state =
+  let tm = cx.tm and rq = cx.rq and model = st.st_model in
+  let inputs = Cp.patched_routes rq.rq_plan cx.base.Preprocess.b_input_routes in
+  let rib, coverage, inc_used =
+    if st.st_sim_skipped then ([], None, None)
     else
       Telemetry.with_span tm "verify.route_sim" (fun () ->
-          match mode with
-          | Direct -> (
-              match (inc_sim, inc) with
-              | Some (s : Incremental.sim), _ ->
-                  inc_used := Some s;
-                  (s.Incremental.s_rib, None)
-              | None, Some ictx ->
-                  let s =
-                    Incremental.simulate ~tm ?d:diff_info ictx rq.rq_plan
-                  in
-                  inc_used := Some s;
-                  (s.Incremental.s_rib, None)
-              | None, None ->
-                  ( (Route_sim.run ~tm updated_model ~input_routes
-                       ~new_routes:rq.rq_plan.Cp.cp_new_routes ())
-                      .Route_sim.rib,
-                    None ))
-          | Distributed { servers = _; subtasks } ->
-              let fw = Framework.create ~tm ?chaos updated_model in
-              let phase =
-                Framework.run_route_phase ~subtasks fw
-                  ~input_routes:(input_routes @ rq.rq_plan.Cp.cp_new_routes)
+          match (mode, inc_sim, inc) with
+          | Direct, Some (s : Incremental.sim), _ ->
+              (s.Incremental.s_rib, None, Some s)
+          | Direct, None, Some ictx ->
+              let s =
+                Incremental.simulate ~tm ~d:(Lazy.force cx.plan_diff) ictx
+                  rq.rq_plan
               in
-              let cov =
-                {
-                  cov_total = List.length phase.Framework.rp_subtasks;
-                  cov_merged =
-                    List.length phase.Framework.rp_subtasks
-                    - List.length phase.Framework.rp_failed;
-                  cov_failed =
-                    List.map
-                      (fun (f : Framework.subtask_failure) ->
-                        (f.Framework.sf_id, f.Framework.sf_reason))
-                      phase.Framework.rp_failed;
-                }
+              (s.Incremental.s_rib, None, Some s)
+          | Direct, None, None ->
+              ( (Route_sim.run ~tm model ~input_routes:inputs ()).Route_sim.rib,
+                None,
+                None )
+          | Distributed { servers = _; subtasks }, _, _ ->
+              let rib, cov =
+                distributed_route_phase cx ~chaos ~subtasks model inputs
               in
-              (phase.Framework.rp_rib, Some cov))
+              (rib, cov, None))
   in
-  let partial =
-    match dist_coverage with
-    | Some c -> c.cov_merged < c.cov_total
-    | None -> false
-  in
-  (* 4. traffic simulation (lazy: only if an intent needs it).  The
-     incremental path reuses the spliced-FIB traffic artifact; either
-     way the forcing cost lands in [vr_traffic_seconds], not
-     [vr_sim_seconds]. *)
-  let updated_traffic =
-    match !inc_used with
-    | Some s -> timed_traffic (fun () -> Lazy.force s.Incremental.s_traffic)
+  let traffic =
+    match inc_used with
+    | Some s -> timed_traffic cx (fun () -> Lazy.force s.Incremental.s_traffic)
     | None ->
-        timed_traffic (fun () ->
+        timed_traffic cx (fun () ->
             Telemetry.with_span tm "verify.traffic_sim" (fun () ->
-                Traffic_sim.run ~tm updated_model ~rib:updated_rib
-                  ~flows:base.Preprocess.b_flows ()))
+                Traffic_sim.run ~tm model ~rib
+                  ~flows:cx.base.Preprocess.b_flows ()))
   in
-  (* 5. intent verification for whatever the pre-checker left open *)
+  {
+    st with
+    st_updated_rib = rib;
+    st_coverage = coverage;
+    st_inc = inc_used;
+    st_traffic = traffic;
+  }
+
+(* Stage 5, intent verification for whatever the pre-checker left open.
+   Partial distributed results: intent verdicts over an incomplete RIB
+   would be unsound (a route missing from a failed subtask looks like a
+   reachability violation — or masks one).  The default refuses to
+   verify; the graceful-degradation mode verifies anyway but the result
+   is flagged [vr_partial] and can never be [vr_ok]. *)
+let check cx ~on_partial st : state =
+  let base = cx.base in
   let base_rib =
-    if sim_skipped || static_only then []
-    else Lazy.force base.Preprocess.b_rib
+    if st.st_sim_skipped then [] else Lazy.force base.Preprocess.b_rib
   in
-  (* partial distributed results: intent verdicts over an incomplete RIB
-     would be unsound (a route missing from a failed subtask looks like a
-     reachability violation — or masks one).  The default refuses to
-     verify; the graceful-degradation mode verifies anyway but the result
-     is flagged [vr_partial] and can never be [vr_ok]. *)
-  let refuse_partial = partial && on_partial = `Refuse in
+  let refuse_partial = partial st && on_partial = `Refuse in
   let sim_violations =
-    if sim_intents = [] || refuse_partial || static_only then []
+    if st.st_sim_intents = [] || refuse_partial then []
     else
-      Telemetry.with_span tm "verify.intents" (fun () ->
+      Telemetry.with_span cx.tm "verify.intents" (fun () ->
           List.concat_map
             (fun intent ->
-              Intents.verify intent ~model:updated_model ~base_rib
-                ~updated_rib ~base_traffic:base.Preprocess.b_traffic
-                ~updated_traffic)
-            sim_intents)
+              Intents.verify intent ~model:st.st_model ~base_rib
+                ~updated_rib:st.st_updated_rib
+                ~base_traffic:base.Preprocess.b_traffic
+                ~updated_traffic:st.st_traffic)
+            st.st_sim_intents)
   in
-  let violations = static_violations @ sim_violations @ carried_violations in
-  let ok = violations = [] && warnings = [] && not partial in
-  Telemetry.finish tm rq_sp;
-  if Telemetry.enabled tm then
-    Telemetry.event tm "verify.done"
-      [
-        ("request", Journal.S rq.rq_name);
-        ("ok", Journal.B ok);
-        ("violations", Journal.I (List.length violations));
-        ("sim_skipped", Journal.B sim_skipped);
-        ("partial", Journal.B partial);
-      ];
-  {
-    vr_request = rq.rq_name;
-    vr_ok = ok;
-    vr_violations = violations;
-    vr_plan_warnings = warnings;
-    vr_lint = lint_diags;
-    vr_gated = false;
-    vr_precheck = precheck_results;
-    vr_sim_skipped = sim_skipped;
-    vr_diff_class =
-      Option.map (fun d -> d.Differential.df_class) diff_info;
-    vr_carried = carried;
-    vr_coverage = dist_coverage;
-    vr_partial = partial;
-    vr_inc = Option.map (fun (s : Incremental.sim) -> s.Incremental.s_stats)
-        !inc_used;
-    vr_updated_model = updated_model;
-    vr_base_rib = base_rib;
-    vr_updated_rib = updated_rib;
-    vr_updated_traffic = updated_traffic;
-    (* elapsed minus whatever the intent checks spent forcing traffic:
-       the traffic cost lives in [vr_traffic_seconds] only, whether the
-       lazy was forced here or later by the caller *)
-    vr_sim_seconds = Unix.gettimeofday () -. t0 -. !traffic_seconds;
-    vr_traffic_seconds = traffic_seconds;
-  }
-  end
+  { st with st_base_rib = base_rib; st_sim_violations = sim_violations }
+
+(** Run one change-verification request against the pre-processed base
+    through the stages above.  Each stage runs under its own telemetry
+    span ([verify.lint_gate] / [verify.model_update] / [verify.diff] /
+    [verify.carryover] / [verify.precheck] / [verify.route_sim] /
+    [verify.traffic_sim] / [verify.intents]); the static-analysis gate
+    additionally journals its outcome as a [lint.gate] event. *)
+let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
+    ?(diff = false) ?chaos ?(on_partial = `Refuse) ?(stop_after = `Full)
+    ?inc ?inc_sim (base : Preprocess.base) (rq : request) : result =
+  let cx = start ?tm base rq in
+  let st = gate cx lint in
+  (* a [`Gate]-bounded request (the server's lint class) is ok iff the
+     gate found no error-severity diagnostic; a gated request never is *)
+  if st.st_gated || stop_after = `Gate then
+    finish cx st ~ok:(not (Lint.has_errors st.st_lint))
+  else
+    let st =
+      apply_plan cx ~inc_sim st |> carry_over cx ~diff
+      |> precheck_stage cx ~precheck
+    in
+    (* a [`Static]-bounded request (the server's precheck class) never
+       simulates: whatever the pre-checker left open stays open, and the
+       verdict covers only the statically decided part *)
+    if stop_after = `Static then finish cx st ~ok:(verdict_ok st)
+    else
+      let st = simulate cx ~mode ~chaos ~inc ~inc_sim st |> check cx ~on_partial in
+      finish cx st ~ok:(verdict_ok st)
 
 let report (r : result) : string =
   let b = Buffer.create 256 in

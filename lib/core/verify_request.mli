@@ -2,7 +2,23 @@
     Figure 2): apply the change plan incrementally to the pre-computed
     base model, simulate routes (and, lazily, traffic), verify the
     formally specified intents, and report violations with concrete
-    counterexamples. *)
+    counterexamples.
+
+    {!run} is a sequence of named stages, each under its own telemetry
+    span:
+    + {b gate} ([verify.lint_gate]) — the static-analysis gate;
+    + {b apply} ([verify.model_update]) — the updated model;
+    + {b carry-over} ([verify.diff], [verify.carryover]) — the
+      differential pass and the intents it carries over from the base;
+    + {b precheck} ([verify.precheck]) — the static intent pre-checker;
+    + {b simulate} ([verify.route_sim], lazily [verify.traffic_sim]) —
+      the fixpoints, direct, incremental or distributed;
+    + {b check} ([verify.intents]) — intent verification.
+
+    The stages share one application of the plan to the base
+    ({!Hoyan_config.Change_plan.apply}): a request applies its plan at
+    most once.  Every exit — the gate, [stop_after], the full pipeline —
+    builds its {!result} through one constructor. *)
 
 open Hoyan_net
 

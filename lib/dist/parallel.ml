@@ -1,11 +1,12 @@
-(** Real multicore execution of subtasks (OCaml 5 domains).
+(** Real multicore execution (OCaml 5 domains).
 
     The deterministic scheduler ({!Schedule}) is what the benchmarks use
-    to obtain multi-server curves; this module additionally provides a
-    {e real} parallel executor so the framework can be exercised with
-    genuinely concurrent workers on one machine.  The compiled model is
-    read-only during simulation, so workers share it; the work list is
-    distributed via an atomic index. *)
+    to obtain multi-server curves; this module provides the {e real}
+    parallel part: an order-preserving {!map} over domains (the k-failure
+    sweep fans its representative scenarios out through it — the
+    compiled model is read-only during simulation, so workers share it)
+    and the packed-key universe the framework's route phase merges its
+    {!Hoyan_net.Rib.Arena}s over. *)
 
 module Telemetry = Hoyan_telemetry.Telemetry
 
@@ -165,9 +166,9 @@ let map ?tm ?(domains = default_domains ()) ?weights (f : 'a -> 'b)
 
 (** The (device, vrf, prefix) universe a route phase can produce rows
     over: topology devices, every vrf named by a config or a route, and
-    the input/local/network/aggregate prefixes.  Built by the
-    coordinator before domains spawn; routes outside the universe (none
-    in practice) fall back to {!Rib.Arena}'s structural overflow path. *)
+    the input/local/network/aggregate prefixes.  Routes outside the
+    universe (none in practice) fall back to {!Rib.Arena}'s structural
+    overflow path. *)
 let route_key_ctx (model : Hoyan_sim.Model.t)
     ~(input_routes : Hoyan_net.Route.t list) : Hoyan_net.Rib.Key.ctx =
   let module M = Hoyan_sim.Model in
@@ -214,130 +215,3 @@ let route_key_ctx (model : Hoyan_sim.Model.t)
         cfg.Types.dc_statics)
     model.M.configs;
   Hoyan_net.Rib.Key.make ~devices:!devices ~vrfs:!vrfs ~prefixes:!prefixes
-
-(** Run the route subtasks of a split in parallel and return the merged
-    global RIB (plus local tables).  Equivalent to
-    {!Framework.run_route_phase} but with real concurrency; used by the
-    distributed-vs-centralized equivalence tests and the parallel bench.
-
-    Each worker fills a compact {!Rib.Arena} (sorted inside the worker
-    domain) and the coordinator merges arenas with a sorted merge, so
-    the result is byte-identical to concatenating every subtask RIB and
-    running [List.sort_uniq Route.compare].  The base run (origination,
-    empty input) is work item 0 rather than a pre-pass, so it overlaps
-    with the subtask workers instead of serializing in front of them. *)
-let route_phase_rib ?tm ?(domains = default_domains ()) ?(use_ecs = true)
-    ?(strategy = Split.Ordered) ?(subtasks = 32)
-    (model : Hoyan_sim.Model.t) ~(input_routes : Hoyan_net.Route.t list) :
-    Hoyan_net.Route.t list =
-  let module Rib = Hoyan_net.Rib in
-  let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
-  let gc0 = Gc.quick_stat () in
-  let sp = Telemetry.span tm "parallel.route_phase" in
-  let splits = Split.split_routes ~strategy ~subtasks input_routes in
-  let ctx = route_key_ctx model ~input_routes in
-  let run_subtask = function
-    | `Base ->
-        (* origination + empty input: what the seed computed serially
-           before spawning workers *)
-        Rib.Arena.of_routes ctx
-          (Hoyan_sim.Route_sim.run ~tm ~use_ecs ~include_locals:false model
-             ~input_routes:[] ())
-            .Hoyan_sim.Route_sim.rib
-    | `Chunk routes ->
-        Rib.Arena.of_routes ctx
-          (Hoyan_sim.Route_sim.run ~tm ~use_ecs ~include_locals:false
-             ~originate:false model ~input_routes:routes ())
-            .Hoyan_sim.Route_sim.rib
-  in
-  let items = `Base :: List.map (fun (routes, _range) -> `Chunk routes) splits in
-  let cm = Costmodel.default in
-  let weights =
-    Array.of_list
-      (List.map
-         (function
-           | `Base ->
-               (* origination cost scales with the device-local tables *)
-               Costmodel.est_route_subtask cm
-                 ~routes:
-                   (Hoyan_sim.Model.Smap.fold
-                      (fun _ rs n -> n + List.length rs)
-                      model.Hoyan_sim.Model.local_tables 0)
-           | `Chunk routes ->
-               Costmodel.est_route_subtask cm ~routes:(List.length routes))
-         items)
-  in
-  let arenas = map ~tm ~domains ~weights run_subtask items in
-  let rib = Rib.Arena.merge arenas in
-  Telemetry.finish tm sp;
-  let gc1 = Gc.quick_stat () in
-  if Telemetry.enabled tm then begin
-    Telemetry.count tm "hoyan_gc_minor_collections_total"
-      (gc1.Gc.minor_collections - gc0.Gc.minor_collections);
-    Telemetry.count tm "hoyan_gc_major_collections_total"
-      (gc1.Gc.major_collections - gc0.Gc.major_collections);
-    Telemetry.count tm "hoyan_gc_promoted_words_total"
-      (int_of_float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words))
-  end;
-  let locals =
-    Hoyan_sim.Model.Smap.fold
-      (fun _ rs acc -> List.rev_append rs acc)
-      model.Hoyan_sim.Model.local_tables []
-  in
-  rib @ locals
-
-(** Domain-parallel traffic phase.
-
-    Flows are sharded with the §3.2 ordering heuristic (sorted by
-    destination, contiguous shards — each shard's walks touch few FIB
-    regions); the compiled model and the FIB tries are built once and
-    shared read-only across domains; each shard accumulates its own
-    link-load table and the per-shard results are merged in shard order,
-    so the output is a deterministic function of the inputs — identical
-    whatever the domain count (including [domains = 1]). *)
-let traffic_phase ?tm ?(domains = default_domains ())
-    ?(strategy = Split.Ordered) ?(subtasks = 32) ?(use_ecs = true)
-    (model : Hoyan_sim.Model.t) ~(rib : Hoyan_net.Route.t list)
-    ~(flows : Hoyan_net.Flow.t list) () : Hoyan_sim.Traffic_sim.result =
-  let module T = Hoyan_sim.Traffic_sim in
-  let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
-  let sp = Telemetry.span tm "parallel.traffic_phase" in
-  let fibs =
-    Telemetry.with_span tm "traffic.build_fibs" (fun () -> T.build_fibs rib)
-  in
-  let ecx = T.ec_ctx model fibs in
-  let shards = Split.split_flows ~strategy ~subtasks flows in
-  let outs =
-    map ~tm ~domains
-      (fun (fs, _range) ->
-        T.run ~tm ~use_ecs ~fibs ~ecx model ~rib:[] ~flows:fs ())
-      shards
-  in
-  Telemetry.finish tm sp;
-  (* merge in shard order: link loads sum associatively per shard table,
-     flow results concatenate *)
-  let link_load = Hashtbl.create 1024 in
-  List.iter
-    (fun (o : T.result) ->
-      Hashtbl.iter
-        (fun k v ->
-          let cur = Option.value (Hashtbl.find_opt link_load k) ~default:0. in
-          Hashtbl.replace link_load k (cur +. v))
-        o.T.link_load)
-    outs;
-  let flow_results =
-    List.concat_map (fun (o : T.result) -> o.T.flow_results) outs
-  in
-  let ec_count = List.fold_left (fun n (o : T.result) -> n + o.T.ec_count) 0 outs in
-  let flow_count =
-    List.fold_left (fun n (o : T.result) -> n + o.T.flow_count) 0 outs
-  in
-  {
-    T.flow_results;
-    link_load;
-    flow_count;
-    ec_count;
-    compression =
-      (if ec_count = 0 then 1.0
-       else float_of_int (List.length flows) /. float_of_int ec_count);
-  }

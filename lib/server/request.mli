@@ -9,7 +9,9 @@
 
     {!cache_key} is the result-cache key: (snapshot digest, plan
     digest, intent digest, class).  The plan digest is {e semantic}: the
-    plan's command blocks are applied to the base configs and the digest
+    plan is applied to the base configs
+    ({!Hoyan_config.Change_plan.apply}, as the pipeline applies it) and
+    the digest
     covers the {e patched} configurations (plus the application issues,
     topology ops, announced routes and withdrawals) — so two textually
     different plans with the same meaning (restatements, reordered

@@ -298,7 +298,7 @@ let run_direct_timed ?(tm = Telemetry.noop) ?inc ?inc_sim (snap : Snapshot.t)
           match rq.Request.r_class with
           | Request.Lint ->
               Verify_request.run ~tm ~lint:Verify_request.Lint_fail
-                ~precheck:false ~stop_after:`Gate base vrq
+                ~stop_after:`Gate base vrq
           | Request.Precheck ->
               Verify_request.run ~tm ~lint:Verify_request.Lint_off
                 ~stop_after:`Static base vrq

@@ -236,7 +236,7 @@ let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
     ~(patched : Model.t) ~(reports : Cp.apply_report list) ~reason : sim =
   cx.cx_fallbacks <- cx.cx_fallbacks + 1;
   Telemetry.count tm "hoyan_inc_fallback_total" 1;
-  let inputs = Differential.patched_routes plan cx.cx_input_routes in
+  let inputs = Cp.patched_routes plan cx.cx_input_routes in
   let full =
     Telemetry.with_span tm "inc.full_fallback" (fun () ->
         Route_sim.run ~tm patched ~input_routes:inputs ())
@@ -271,7 +271,11 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
   Telemetry.count tm "hoyan_inc_simulate_total" 1;
   Telemetry.with_span tm "inc.simulate" (fun () ->
       let d = match d with Some d -> d | None -> compute_diff ~tm cx plan in
-      let patched, reports = Model.apply_change_plan cx.cx_model plan in
+      (* the diff carries the plan's one application; the patched model
+         is compiled from it *)
+      let ap = d.Differential.df_applied in
+      let patched = Model.of_applied cx.cx_model ap in
+      let reports = ap.Cp.ap_reports in
       match
         if d.Differential.df_topo_dirty then
           Some "topology ops dirty an unenumerable prefix set"
@@ -321,7 +325,7 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
                   (Route_sim.run ~tm ~include_locals:false ~only:is_dirty
                      patched
                      ~input_routes:
-                       (Differential.patched_routes plan cx.cx_input_routes)
+                       (Cp.patched_routes plan cx.cx_input_routes)
                      ())
                     .Route_sim.rib)
           in
@@ -448,7 +452,7 @@ let selfcheck ?tm ?(traffic = true) ?prune_dirty (cx : ctx) (plan : Cp.t) :
   let sim = simulate ~tm ?prune_dirty cx plan in
   (* the independent witness: full from-scratch patched simulation *)
   let patched, _ = Model.apply_change_plan cx.cx_model plan in
-  let inputs = Differential.patched_routes plan cx.cx_input_routes in
+  let inputs = Cp.patched_routes plan cx.cx_input_routes in
   let full =
     List.sort_uniq Route.compare
       (Route_sim.run ~tm patched ~input_routes:inputs ()).Route_sim.rib

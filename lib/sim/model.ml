@@ -277,59 +277,28 @@ let build ?(te_aware = true)
   in
   { topo; configs; igp; owner_tbl; net; local_tables; tunnels; te_aware }
 
-(** Apply a change plan: topology ops plus per-device command blocks, then
-    recompile.  Returns the updated model and the per-device application
+(** Compile the model a plan application produced against [t]
+    ({!Hoyan_config.Change_plan.apply}); [t]'s topology stands in when
+    the plan was applied without one. *)
+let of_applied (t : t) (ap : Hoyan_config.Change_plan.applied) : t =
+  let module Cp = Hoyan_config.Change_plan in
+  build
+    (Option.value ap.Cp.ap_topo ~default:t.topo)
+    ap.Cp.ap_configs
+
+(** Apply a change plan ({!Hoyan_config.Change_plan.apply}), then
+    recompile.  Returns the updated model and the per-block application
     reports (parse/delete errors are risk signals surfaced to the
     verification layer). *)
 let apply_change_plan ?(te_aware = true) ?regex (t : t)
     (cp : Hoyan_config.Change_plan.t) :
     t * Hoyan_config.Change_plan.apply_report list =
   let module Cp = Hoyan_config.Change_plan in
-  let topo =
-    List.fold_left
-      (fun topo op ->
-        match op with
-        | Cp.Add_device d -> Topology.add_device topo d
-        | Cp.Remove_device n -> Topology.remove_device topo n
-        | Cp.Add_link { la; la_if; lb; lb_if; l_bandwidth } ->
-            Topology.add_link topo ~a:la ~a_if:la_if ~b:lb ~b_if:lb_if
-              ~bandwidth:l_bandwidth
-        | Cp.Remove_link { ra; rb } -> Topology.remove_link topo ~a:ra ~b:rb)
-      t.topo cp.Cp.cp_topo_ops
-  in
-  (* devices added by the plan get an empty config before the command
-     blocks run, so a block can configure a brand-new router *)
-  let configs =
-    List.fold_left
-      (fun configs op ->
-        match op with
-        | Cp.Add_device d ->
-            if Smap.mem d.Topology.name configs then configs
-            else
-              Smap.add d.Topology.name
-                (Types.empty ~device:d.Topology.name ~vendor:d.Topology.vendor)
-                configs
-        | Cp.Remove_device n -> Smap.remove n configs
-        | Cp.Add_link _ | Cp.Remove_link _ -> configs)
-      t.configs cp.Cp.cp_topo_ops
-  in
-  let configs, reports =
-    List.fold_left
-      (fun (configs, reports) (dev, block) ->
-        match Smap.find_opt dev configs with
-        | None ->
-            (* "typos in the names of routers to be changed ... would cause
-               the change to be ineffective on some routers" (Table 6) *)
-            ( configs,
-              Cp.report_failure ~device:dev
-                (Printf.sprintf "unknown device %S" dev)
-              :: reports )
-        | Some cfg ->
-            let cfg', report = Cp.apply_commands cfg block in
-            (Smap.add dev cfg' configs, report :: reports))
-      (configs, []) cp.Cp.cp_commands
-  in
-  (build ~te_aware ?regex topo configs, List.rev reports)
+  let ap = Cp.apply ~topo:(Some t.topo) t.configs cp in
+  ( build ~te_aware ?regex
+      (Option.value ap.Cp.ap_topo ~default:t.topo)
+      ap.Cp.ap_configs,
+    ap.Cp.ap_reports )
 
 (** Total configuration line count across the model (Table-1 style
     statistics). *)

@@ -54,8 +54,15 @@ val build :
   Types.t Smap.t ->
   t
 
-(** Apply a change plan (topology ops, then per-device command blocks in
-    each device's own dialect) and recompile.  The per-device reports
+(** Compile the model a plan application against [t] produced
+    ({!Hoyan_config.Change_plan.apply}); [t]'s topology stands in when
+    the plan was applied without one.  Compiles with {!build}'s
+    defaults, as {!apply_change_plan} does. *)
+val of_applied : t -> Hoyan_config.Change_plan.applied -> t
+
+(** Apply a change plan ({!Hoyan_config.Change_plan.apply}: topology
+    ops, then per-device command blocks in each device's own dialect)
+    and recompile.  The per-device reports
     carry parse and deletion errors — risk signals surfaced by the
     verification layer (Table 6 "incorrect commands"). *)
 val apply_change_plan :

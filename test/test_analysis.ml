@@ -207,7 +207,90 @@ let test_gate () =
     { VR.rq_name = "clean"; rq_plan = Cp.make "noop"; rq_intents = [] }
   in
   let r = VR.run ~lint:VR.Lint_fail base ok_rq in
-  Alcotest.(check bool) "clean plan is not gated" false r.VR.vr_gated
+  Alcotest.(check bool) "clean plan is not gated" false r.VR.vr_gated;
+  (* the gate, the model and the differential pass see one application
+     of the plan: topology ops first, then the command blocks *)
+  let model = g.G.model in
+  let lint_plan plan =
+    Lint.run
+      (Lint.make ~topo:model.Model.topo ~plan model.Model.configs)
+  in
+  let codes_on dev code ds =
+    List.filter
+      (fun (d : D.t) ->
+        d.D.d_code = code && d.D.d_loc.D.loc_device = Some dev)
+      ds
+  in
+  let same_patched_configs label plan =
+    let m', _ = Model.apply_change_plan model plan in
+    let d =
+      Hoyan_analysis.Differential.diff
+        (Lint.make ~topo:model.Model.topo ~render:false model.Model.configs)
+        plan
+    in
+    Alcotest.(check bool)
+      (label ^ ": differential patched configs = model's")
+      true
+      (Types.Smap.equal ( = ) m'.Model.configs
+         d.Hoyan_analysis.Differential.df_patched_input.Lint.li_configs)
+  in
+  (* an added device whose block does not parse *)
+  let newrtr =
+    {
+      Topology.name = "newrtr";
+      vendor = "vendorA";
+      asn = 65000;
+      router_id = Ip.of_string_exn "10.255.255.1";
+      region = "r00";
+      role = Topology.Wan_core;
+    }
+  in
+  let added =
+    Cp.make "add-newrtr" ~topo_ops:[ Cp.Add_device newrtr ]
+      ~commands:[ ("newrtr", "router bgp 65000\n this is not a command") ]
+  in
+  let _, reports = Model.apply_change_plan model added in
+  let issues reports =
+    List.concat_map
+      (fun (r : Cp.apply_report) ->
+        List.map
+          (fun i -> r.Cp.ar_device ^ ": " ^ Cp.issue_to_string i)
+          r.Cp.ar_issues)
+      reports
+  in
+  Alcotest.(check int) "added device: the model reports one plan issue" 1
+    (List.length (issues reports));
+  Alcotest.(check int) "added device: one HOY014 on newrtr" 1
+    (List.length (codes_on "newrtr" "HOY014" (lint_plan added)));
+  let r =
+    VR.run ~lint:VR.Lint_fail base
+      { VR.rq_name = "add-newrtr"; rq_plan = added; rq_intents = [] }
+  in
+  Alcotest.(check bool) "added device: Lint_fail gates the request" true
+    r.VR.vr_gated;
+  let snap =
+    Hoyan_server.Server.register_snapshot (Hoyan_server.Server.create ()) base
+  in
+  let st, _ =
+    Hoyan_server.Server.run_direct snap
+      (Hoyan_server.Request.make ~plan:added ~id:"add-newrtr"
+         Hoyan_server.Request.Lint)
+  in
+  Alcotest.(check bool) "added device: the server's lint class FAILs" true
+    (st = Hoyan_server.Server.Fail);
+  same_patched_configs "added device" added;
+  (* a removed device that still gets a command block *)
+  let removed =
+    Cp.make "remove-bdr00" ~topo_ops:[ Cp.Remove_device "r00-bdr00" ]
+      ~commands:[ ("r00-bdr00", "ip route 192.0.2.0/24 10.0.0.1\n") ]
+  in
+  let _, reports = Model.apply_change_plan model removed in
+  Alcotest.(check (list string)) "removed device: the model's report"
+    [ "r00-bdr00: line 0: unknown device \"r00-bdr00\"" ]
+    (issues reports);
+  Alcotest.(check int) "removed device: exactly one HOY012 on r00-bdr00" 1
+    (List.length (codes_on "r00-bdr00" "HOY012" (lint_plan removed)));
+  same_patched_configs "removed device" removed
 
 (* --- catalog sanity ------------------------------------------------ *)
 

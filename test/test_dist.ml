@@ -1,6 +1,6 @@
 (* Tests for the distributed simulation framework: splitters, the ordering
    heuristic, master/worker execution, failure retry, the schedule replay,
-   and the real-parallel executor. *)
+   and the real-parallel map. *)
 
 open Hoyan_net
 module G = Hoyan_workload.Generator
@@ -246,18 +246,6 @@ let prop_lpt_sweep_monotone =
       in
       m_more <= m_few +. 1e-9)
 
-let test_parallel_executor () =
-  let g = Lazy.force scenario in
-  let direct =
-    (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
-  in
-  let parallel =
-    Parallel.route_phase_rib ~domains:4 ~subtasks:6 g.G.model
-      ~input_routes:g.G.input_routes
-  in
-  check tbool "parallel domains produce the same RIB" true
-    (Rib.Global.equal direct parallel)
-
 let test_parallel_map () =
   let xs = List.init 100 Fun.id in
   let ys = Parallel.map ~domains:4 (fun x -> x * x) xs in
@@ -304,47 +292,30 @@ let sorted_loads (r : Traffic_sim.result) =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) r.Traffic_sim.link_load []
   |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
 
-(* The end-to-end parallel pipeline reproduces the centralized runner's
-   output: route-phase RIB rows bit-for-bit, traffic-phase results
-   bit-for-bit across domain counts and per-flow identical to the
-   sequential single-table run. *)
-let test_parallel_pipeline_equals_centralized () =
+(* The route simulator reproduces the centralized runner's output: RIB
+   rows bit-for-bit, and traffic over either RIB per-flow identical (the
+   centralized rows deduplicated: every chunk re-originates the local
+   routes). *)
+let test_route_sim_equals_centralized () =
   let g = Lazy.force scenario in
   let cent =
     Hoyan_sim.Centralized.run ~mem_cap_bytes:max_int g.G.model
       ~input_routes:g.G.input_routes ()
   in
   let norm rs = List.sort_uniq Route.compare rs in
-  let par_rib =
-    Parallel.route_phase_rib ~domains:4 ~subtasks:6 g.G.model
-      ~input_routes:g.G.input_routes
+  let rib =
+    (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
   in
-  check tbool "route phase rows = centralized rows (bit-for-bit)" true
+  check tbool "route sim rows = centralized rows (bit-for-bit)" true
     (List.equal Route.equal
        (norm cent.Hoyan_sim.Centralized.c_rib)
-       (norm par_rib));
-  let rib = par_rib in
-  let seq = Traffic_sim.run g.G.model ~rib ~flows:g.G.flows () in
-  let par1 =
-    Parallel.traffic_phase ~domains:1 ~subtasks:8 g.G.model ~rib
-      ~flows:g.G.flows ()
-  in
-  let par4 =
-    Parallel.traffic_phase ~domains:4 ~subtasks:8 g.G.model ~rib
-      ~flows:g.G.flows ()
-  in
-  (* the domain count changes nothing: deterministic shard merge *)
-  check tbool "traffic domains=1 = domains=4 (bit-for-bit)" true
-    (par1.Traffic_sim.flow_results = par4.Traffic_sim.flow_results
-    && sorted_loads par1 = sorted_loads par4);
-  (* per-flow results equal the sequential single-table run exactly
-     (walks are per-flow deterministic); link loads agree within float
-     re-association tolerance *)
+       (norm rib));
+  let traffic rib = Traffic_sim.run g.G.model ~rib ~flows:g.G.flows () in
+  let a = traffic rib and b = traffic (norm cent.Hoyan_sim.Centralized.c_rib) in
   let by_flow rs = List.sort Stdlib.compare rs in
-  check tbool "per-flow results = sequential (bit-for-bit)" true
-    (by_flow par4.Traffic_sim.flow_results
-    = by_flow seq.Traffic_sim.flow_results);
-  let la = sorted_loads par4 and lb = sorted_loads seq in
+  check tbool "per-flow results identical (bit-for-bit)" true
+    (by_flow a.Traffic_sim.flow_results = by_flow b.Traffic_sim.flow_results);
+  let la = sorted_loads a and lb = sorted_loads b in
   check tint "same loaded edges" (List.length lb) (List.length la);
   List.iter2
     (fun (ka, va) (kb, vb) ->
@@ -352,9 +323,8 @@ let test_parallel_pipeline_equals_centralized () =
       check tbool "load agrees" true
         (Float.abs (va -. vb) <= 1e-6 *. Float.max 1.0 (Float.abs vb)))
     la lb;
-  (* population accounting is preserved by the merge *)
-  check tint "flow population preserved" seq.Traffic_sim.flow_count
-    par4.Traffic_sim.flow_count
+  check tint "flow population preserved" b.Traffic_sim.flow_count
+    a.Traffic_sim.flow_count
 
 (* property: the ordering heuristic's dependency test is sound — if a
    traffic subtask's range does not overlap a route subtask's range, no
@@ -706,13 +676,12 @@ let suite =
     ("schedule makespan", `Quick, test_schedule_makespan);
     ("schedule LPT vs FIFO", `Quick, test_schedule_lpt);
     ("schedule edge cases", `Quick, test_schedule_edge_cases);
-    ("parallel executor equivalence", `Slow, test_parallel_executor);
     ("parallel map", `Quick, test_parallel_map);
     ("parallel map sizes + domains=1", `Quick, test_parallel_map_sizes);
     ("parallel map exception propagation", `Quick, test_parallel_map_exception);
-    ( "parallel pipeline = centralized (route + traffic)",
+    ( "route sim = centralized (route + traffic)",
       `Slow,
-      test_parallel_pipeline_equals_centralized );
+      test_route_sim_equals_centralized );
     qtest prop_dependency_soundness;
     qtest prop_lpt_sweep_monotone;
   ]

@@ -87,6 +87,35 @@ let test_cache_zero_capacity () =
 (* digests and cache keys                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A plan that adds a router and configures it, in two spellings: one
+   block, or the same statements split over two blocks in another
+   order.  The patched configs are equal, so the digests must be. *)
+let added_device_spellings () =
+  let d =
+    {
+      Topology.name = "newrtr";
+      vendor = "vendorA";
+      asn = 65000;
+      router_id = Ip.of_string_exn "10.255.255.1";
+      region = "r00";
+      role = Topology.Wan_core;
+    }
+  in
+  let plan name commands =
+    Cp.make name ~topo_ops:[ Cp.Add_device d ] ~commands
+  in
+  ( plan "one-block"
+      [
+        ( "newrtr",
+          "router bgp 65000\n network 203.0.113.0/24\n network \
+           198.51.100.0/24\n" );
+      ],
+    plan "two-blocks"
+      [
+        ("newrtr", "router bgp 65000\n network 198.51.100.0/24\n");
+        ("newrtr", "router bgp 65000\n network 203.0.113.0/24\n");
+      ] )
+
 (* PR7's restatement-is-no-op property lifted to cache keys: the plan
    digest ignores the plan's id and block duplication — only the
    patched configurations (plus issues, topo ops, routes) matter. *)
@@ -94,6 +123,7 @@ let prop_digest_restatement_stable =
   let g = Lazy.force small in
   let configs = g.G.model.Model.configs in
   let devices = Array.of_list (List.map fst (Smap.bindings configs)) in
+  let one_block, two_blocks = added_device_spellings () in
   QCheck.Test.make
     ~name:"plan digest: id-independent and duplicate-block-stable"
     ~count:(Array.length devices)
@@ -108,7 +138,10 @@ let prop_digest_restatement_stable =
       let d1 = Request.plan_digest ~configs once in
       let d2 = Request.plan_digest ~configs twice in
       String.equal d1 d2
-      && not (String.equal d1 (Request.plan_digest ~configs (Cp.make "e"))))
+      && not (String.equal d1 (Request.plan_digest ~configs (Cp.make "e")))
+      && String.equal
+           (Request.plan_digest ~configs one_block)
+           (Request.plan_digest ~configs two_blocks))
 
 let test_digest_sensitive () =
   let configs = configs () in
@@ -400,7 +433,7 @@ let test_stop_after () =
       rq_intents = [ Intents.Route_change "PRE = POST" ];
     }
   in
-  let gate = VR.run ~lint:VR.Lint_fail ~precheck:false ~stop_after:`Gate b vrq in
+  let gate = VR.run ~lint:VR.Lint_fail ~stop_after:`Gate b vrq in
   check tbool "`Gate never prechecks" true (gate.VR.vr_precheck = []);
   check tbool "`Gate never simulates" true (gate.VR.vr_updated_rib = []);
   let st = VR.run ~lint:VR.Lint_off ~stop_after:`Static b vrq in
